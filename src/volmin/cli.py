@@ -15,9 +15,10 @@ functions of the config, so re-running a command reproduces them byte for
 byte; manifest.txt is the one exception, since it records wall time.
 
 Exit codes: 0 success, 2 config error (including missing upstream
-artifacts), 3 numerical failure (non-finite training abort or a singular
-matrix). The environment variable VOLMIN_THREADS caps how many sweep trials
-run in parallel; unset or 1 means sequential.
+artifacts and malformed dataset CSVs), 3 numerical failure (non-finite
+training abort or a singular matrix). The environment variable
+VOLMIN_THREADS caps how many sweep trials run in parallel; unset or 1 means
+sequential.
 """
 
 from __future__ import annotations
@@ -129,9 +130,15 @@ def _check_trained(res: trainer.TrainResult, label: str) -> trainer.TrainResult:
 # evaluation helpers
 
 
-def _corrected_scores(params, t_est, x):
-    """Clean-class scores from a noisy-posterior model: T_est^{-1} g(x)."""
-    return model.forward_batch(params, x) @ linalg.inverse_transpose(t_est)
+def _corrected_accuracy(params, t_est, test_set) -> float | None:
+    """Clean-label accuracy of the corrected scores T_est^{-1} g(x); None when
+    the estimate is singular, so it has no inverse to correct with."""
+    try:
+        t_inv = linalg.inverse_transpose(t_est)
+    except linalg.SingularMatrixError:
+        return None
+    scores = model.forward_batch(params, test_set.x) @ t_inv
+    return float((scores.argmax(axis=1) == test_set.y_clean).mean())
 
 
 def _posterior_linf(params, test_set) -> float | None:
@@ -341,15 +348,12 @@ def _run_trial(cfg: config.ExperimentConfig, seed: int, trial_dir_text: str) -> 
         _write_anchor_artifacts(cfg, trial_dir, gres, train_set.x, t_true)
         for method in anchor_methods:
             t_est = _estimate_anchor_transition(method, cfg, gres.params, train_set.x)
-            scores = _corrected_scores(gres.params, t_est, test_set.x)
             rows.append(
                 {
                     "method": method,
                     "seed": seed,
                     "est_error": noise.estimation_error(t_true, t_est),
-                    "test_accuracy": float(
-                        (scores.argmax(axis=1) == test_set.y_clean).mean()
-                    ),
+                    "test_accuracy": _corrected_accuracy(gres.params, t_est, test_set),
                     "posterior_linf": None,
                 }
             )
@@ -511,6 +515,9 @@ def main(argv=None) -> int:
         return 2
     except MissingArtifactError as exc:
         print(f"volmin: {exc}", file=sys.stderr)
+        return 2
+    except data.CsvError as exc:
+        print(f"volmin: bad csv: {exc}", file=sys.stderr)
         return 2
     except (linalg.SingularMatrixError, FloatingPointError, NumericalFailure) as exc:
         print(f"volmin: numerical failure: {exc}", file=sys.stderr)

@@ -29,9 +29,7 @@ from . import data, noise, trainer
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
 GENERATORS = ("simplex", "gaussian", "csv")
-NOISE_KINDS = ("symmetric", "pair", "custom")
 METHODS = ("volmin", "anchor-max", "anchor-percentile")
-SELECTION_METRICS = ("noisy-val-accuracy", "noisy-val-loss")
 
 
 class ConfigError(ValueError):
@@ -115,7 +113,7 @@ SCHEMA = {
         "path": (_str, ""),  # CSV input for generator = csv
     },
     "noise": {
-        "kind": (_choice(*NOISE_KINDS), "symmetric"),
+        "kind": (_choice(*noise.NOISE_KINDS), "symmetric"),
         "rate": (_float, 0.0),
         "matrix_path": (_str, ""),
     },
@@ -130,7 +128,7 @@ SCHEMA = {
         "transition_lr": (_float, 1e-2),
         "transition_momentum": (_float, 0.6),
         "lr_schedule": (_schedule, ()),
-        "selection_metric": (_choice(*SELECTION_METRICS), "noisy-val-loss"),
+        "selection_metric": (_choice(*trainer.SELECTION_METRICS), "noisy-val-loss"),
         "val_fraction": (_float, 0.1),
     },
     "estimators": {

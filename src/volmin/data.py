@@ -14,7 +14,9 @@ every consumer of a seed independent of the others:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from itertools import repeat
+from pathlib import Path
 
 import numpy as np
 
@@ -37,7 +39,6 @@ class Dataset:
     classes: int
     y_noisy: np.ndarray | None = None
     clean_posterior: np.ndarray | None = None
-    provenance: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -87,7 +88,6 @@ class Dataset:
             clean_posterior=(
                 None if self.clean_posterior is None else self.clean_posterior[idx]
             ),
-            provenance=dict(self.provenance),
         )
 
     def with_noisy(self, y_noisy: np.ndarray) -> "Dataset":
@@ -97,7 +97,6 @@ class Dataset:
             classes=self.classes,
             y_noisy=np.asarray(y_noisy, dtype=np.int64),
             clean_posterior=self.clean_posterior,
-            provenance=dict(self.provenance),
         )
 
 
@@ -167,14 +166,6 @@ def gen_simplex_feature(
         y_clean=y,
         classes=classes,
         clean_posterior=posterior,
-        provenance={
-            "generator": "simplex-feature",
-            "classes": classes,
-            "n": n,
-            "profile": profile,
-            "cap": cap,
-            "seed": seed,
-        },
     )
 
 
@@ -219,13 +210,6 @@ def gen_gaussian_mixture(
         y_clean=y,
         classes=classes,
         clean_posterior=posterior,
-        provenance={
-            "generator": "gaussian-mixture",
-            "classes": classes,
-            "d": d,
-            "n": n,
-            "seed": seed,
-        },
     )
 
 
@@ -309,32 +293,45 @@ def split(ds: Dataset, val_fraction: float, seed: int = 0) -> tuple[Dataset, Dat
 # CSV IO
 
 
-def _posterior_path(path):
-    import pathlib
+class CsvError(ValueError):
+    """A dataset CSV or its posterior sibling is malformed; the message
+    names the file and, where one is at fault, the line."""
 
-    p = pathlib.Path(path)
+
+def _posterior_path(path) -> Path:
+    p = Path(path)
     return p.with_name(p.stem + ".posterior.csv")
+
+
+def _float_rows(a: np.ndarray) -> list[str]:
+    """Each row of `a` as comma-joined reprs (shortest round-trip text)."""
+    return [",".join(map(repr, row)) for row in a.tolist()]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    # Bit patterns, not values: -0.0 == 0.0 but their reprs differ.
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
 def write_csv(path, ds: Dataset) -> None:
     """Write `x0,…,x{d-1},y_clean[,y_noisy]` rows; the clean posterior, when
     present, goes to the sibling `<name>.posterior.csv`. Floats are written
-    with repr, so reading them back is bit-exact."""
-    cols = [f"x{i}" for i in range(ds.d)] + ["y_clean"]
+    with repr, so reading them back is bit-exact. When the posterior is the
+    feature matrix (simplex data), its row text is formatted once."""
+    header = [f"x{i}" for i in range(ds.d)] + ["y_clean"]
+    x_rows = _float_rows(ds.x)
+    columns = [x_rows] if ds.d else []
+    columns.append(ds.y_clean.tolist())
     if ds.y_noisy is not None:
-        cols.append("y_noisy")
-    lines = [",".join(cols)]
-    for i in range(ds.n):
-        parts = [repr(float(v)) for v in ds.x[i]] + [str(int(ds.y_clean[i]))]
-        if ds.y_noisy is not None:
-            parts.append(str(int(ds.y_noisy[i])))
-        lines.append(",".join(parts))
+        header.append("y_noisy")
+        columns.append(ds.y_noisy.tolist())
+    lines = [",".join(header)]
+    lines += [",".join(map(str, row)) for row in zip(*columns)]
     atomic_write_text(path, "\n".join(lines) + "\n")
-    if ds.clean_posterior is not None:
-        header = ",".join(f"p{j}" for j in range(ds.classes))
-        plines = [header] + [
-            ",".join(repr(float(v)) for v in row) for row in ds.clean_posterior
-        ]
+    p = ds.clean_posterior
+    if p is not None:
+        p_rows = x_rows if _same_bits(p, ds.x) else _float_rows(p)
+        plines = [",".join(f"p{j}" for j in range(ds.classes))] + p_rows
         atomic_write_text(_posterior_path(path), "\n".join(plines) + "\n")
 
 
@@ -342,20 +339,67 @@ def _parse_float(token: str, path, lineno: int) -> float:
     try:
         v = float(token)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: bad float {token!r}") from None
+        raise CsvError(f"{path}:{lineno}: bad float {token!r}") from None
     if not math.isfinite(v):
-        raise ValueError(f"{path}:{lineno}: non-finite value {token!r}")
+        raise CsvError(f"{path}:{lineno}: non-finite value {token!r}")
     return v
+
+
+def _read_lines(path) -> list[str]:
+    with open(path, encoding="utf-8") as fh:
+        raw = fh.read().splitlines()
+    if not raw:
+        raise CsvError(f"{path}:1: empty file")
+    return raw
+
+
+def _parse_lines(raw: list[str], width: int, d: int, path):
+    """Line-by-line parse of the data lines; raises on the first bad one."""
+    xs, labels = [], [[] for _ in range(d, width)]
+    for lineno, line in enumerate(raw[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise CsvError(
+                f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
+            )
+        xs.append([_parse_float(t, path, lineno) for t in parts[:d]])
+        try:
+            for col, t in zip(labels, parts[d:]):
+                col.append(int(t))
+        except ValueError:
+            raise CsvError(f"{path}:{lineno}: bad label") from None
+    return np.array(xs, dtype=np.float64).reshape(len(xs), d), labels
+
+
+def _parse_table(raw: list[str], width: int, d: int, path):
+    """(x, labels): the first `d` fields of every non-blank data line as an
+    (n, d) float array, and each later field as a list of ints.
+
+    The whole table is split and converted in a few C-level passes. A table
+    that fails any check is parsed again line by line, so an error names
+    the same first bad line and token as a line-by-line reader would."""
+    body = [line for line in raw[1:] if line]
+    if body and set(map(str.count, body, repeat(","))) == {width - 1}:
+        tokens = ",".join(body).split(",")
+        try:
+            table = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            labels = [list(map(int, tokens[j::width])) for j in range(d, width)]
+        except ValueError:
+            pass
+        else:
+            x = table.reshape(len(body), width)[:, :d].copy()
+            if np.isfinite(x).all():
+                return x, labels
+    return _parse_lines(raw, width, d, path)
 
 
 def read_csv(path, classes: int | None = None) -> Dataset:
     """Load a dataset written by write_csv. The class count comes from the
     sibling posterior file when present, else from the given `classes`,
-    else from max(label) + 1."""
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
-    if not raw:
-        raise ValueError(f"{path}:1: empty file")
+    else from max(label) + 1. Malformed input raises CsvError."""
+    raw = _read_lines(path)
     header = raw[0].split(",")
     has_noisy = header[-1] == "y_noisy"
     n_labels = 2 if has_noisy else 1
@@ -364,59 +408,38 @@ def read_csv(path, classes: int | None = None) -> Dataset:
         ["y_noisy"] if has_noisy else []
     )
     if d < 1 or header != want:
-        raise ValueError(f"{path}:1: bad header {raw[0]!r}")
-    xs, yc, yn = [], [], []
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}"
-            )
-        xs.append([_parse_float(t, path, lineno) for t in parts[:d]])
-        try:
-            yc.append(int(parts[d]))
-            if has_noisy:
-                yn.append(int(parts[d + 1]))
-        except ValueError:
-            raise ValueError(f"{path}:{lineno}: bad label") from None
-    x = np.array(xs, dtype=np.float64).reshape(len(xs), d)
-    y_clean = np.array(yc, dtype=np.int64)
-    y_noisy = np.array(yn, dtype=np.int64) if has_noisy else None
+        raise CsvError(f"{path}:1: bad header {raw[0]!r}")
+    x, labels = _parse_table(raw, len(header), d, path)
+    try:
+        y = np.array(labels, dtype=np.int64).reshape(n_labels, x.shape[0])
+    except OverflowError:
+        raise CsvError(f"{path}: label out of int64 range") from None
+    y_clean = y[0]
+    y_noisy = y[1] if has_noisy else None
 
     posterior = None
     ppath = _posterior_path(path)
     if ppath.exists():
-        with open(ppath, encoding="utf-8") as fh:
-            praw = fh.read().splitlines()
+        praw = _read_lines(ppath)
         pheader = praw[0].split(",")
         pc = len(pheader)
         if pheader != [f"p{j}" for j in range(pc)]:
-            raise ValueError(f"{ppath}:1: bad header {praw[0]!r}")
-        rows = []
-        for lineno, line in enumerate(praw[1:], start=2):
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != pc:
-                raise ValueError(
-                    f"{ppath}:{lineno}: expected {pc} fields, got {len(parts)}"
-                )
-            rows.append([_parse_float(t, ppath, lineno) for t in parts])
-        posterior = np.array(rows, dtype=np.float64).reshape(len(rows), pc)
+            raise CsvError(f"{ppath}:1: bad header {praw[0]!r}")
+        posterior, _ = _parse_table(praw, pc, pc, ppath)
         if posterior.shape[0] != x.shape[0]:
-            raise ValueError(f"{ppath}: row count does not match {path}")
+            raise CsvError(f"{ppath}: row count does not match {path}")
         if classes is None:
             classes = pc
     if classes is None:
         top = int(max(y_clean.max(initial=0), y_noisy.max(initial=0) if has_noisy else 0))
         classes = max(top + 1, 2)
-    return Dataset(
-        x=x,
-        y_clean=y_clean,
-        classes=classes,
-        y_noisy=y_noisy,
-        clean_posterior=posterior,
-        provenance={"source": str(path)},
-    )
+    try:
+        return Dataset(
+            x=x,
+            y_clean=y_clean,
+            classes=classes,
+            y_noisy=y_noisy,
+            clean_posterior=posterior,
+        )
+    except ValueError as exc:
+        raise CsvError(f"{path}: {exc}") from None

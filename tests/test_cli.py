@@ -168,6 +168,42 @@ class TestExitCodes:
         assert run("estimate-anchor", "--config", cfg) == 2
         assert "no anchor estimator" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "name, text, message",
+        [
+            ("dataset.csv", None, "dataset.csv:7: bad float 'oops'"),
+            ("dataset.csv", "", "dataset.csv:1: empty file"),
+            ("dataset.posterior.csv", "", "dataset.posterior.csv:1: empty file"),
+        ],
+    )
+    def test_malformed_dataset_csv(self, tmp_path, capsys, name, text, message):
+        cfg = write_cfg(tmp_path, TINY)
+        assert run("generate", "--config", cfg) == 0
+        path = tmp_path / "out" / name
+        if text is None:
+            lines = path.read_text(encoding="utf-8").splitlines()
+            lines[6] = "oops" + lines[6][lines[6].index(","):]
+            text = "\n".join(lines) + "\n"
+        path.write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run("corrupt", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
+    def test_malformed_user_csv(self, tmp_path, capsys):
+        src = tmp_path / "mine.csv"
+        src.write_text("x0,x1,y_clean\n0.5,0.5,1\n0.5,0.5,one\n", encoding="utf-8")
+        cfg = write_cfg(
+            tmp_path,
+            TINY.replace("data.generator = simplex", "data.generator = csv")
+            + f"data.path = {src}\n",
+        )
+        assert run("generate", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "mine.csv:3: bad label" in err
+        assert "Traceback" not in err
+
     def test_bad_threads_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VOLMIN_THREADS", "zero")
         cfg = write_cfg(tmp_path, TINY)
@@ -251,6 +287,28 @@ class TestSweep:
             ta = (tmp_path / "out_a" / f"seed_{s}" / "estimated_transition.txt")
             tb = (tmp_path / "out_b" / f"seed_{s}" / "estimated_transition.txt")
             assert ta.read_bytes() == tb.read_bytes()
+
+    def test_singular_anchor_estimate_leaves_accuracy_empty(
+        self, tmp_path, monkeypatch
+    ):
+        # At seed 31 the barely trained noisy-posterior fit puts two classes'
+        # maxima on one training point, so an anchor estimate is singular: it
+        # keeps its error and matrix file, but has no corrected accuracy.
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        cfg = write_cfg(tmp_path, SWEEP)
+        out = tmp_path / "out"
+        assert run("sweep", "--config", cfg, "--seed", "31") == 0
+        rows = {r[0]: r for r in read_rows(out / "sweep.csv")[1:] if r[1] == "31"}
+        singular = [m for m, r in rows.items() if r[3] == ""]
+        assert singular and all(m.startswith("anchor-") for m in singular)
+        for method in singular:
+            assert float(rows[method][2]) >= 0.0
+            name = method.replace("-", "_")
+            matrix = linalg.read_matrix_text(
+                out / "seed_31" / f"estimated_transition_{name}.txt"
+            )
+            assert np.linalg.matrix_rank(matrix) < matrix.shape[0]
+        assert rows["volmin"][3] != ""
 
 
 class TestOverrides:

@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from volmin import data, geometry
 
@@ -311,6 +314,228 @@ class TestCsvIO:
         path.write_text("x0,y_clean\n0.5,0\n0.25,1\n")
         ds = data.read_csv(path, classes=5)
         assert ds.classes == 5
+
+
+def reference_write_csv(path, ds):
+    """The per-element writer the codec must match byte for byte."""
+    cols = [f"x{i}" for i in range(ds.d)] + ["y_clean"]
+    if ds.y_noisy is not None:
+        cols.append("y_noisy")
+    lines = [",".join(cols)]
+    for i in range(ds.n):
+        parts = [repr(float(v)) for v in ds.x[i]] + [str(int(ds.y_clean[i]))]
+        if ds.y_noisy is not None:
+            parts.append(str(int(ds.y_noisy[i])))
+        lines.append(",".join(parts))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if ds.clean_posterior is not None:
+        header = ",".join(f"p{j}" for j in range(ds.classes))
+        plines = [header] + [
+            ",".join(repr(float(v)) for v in row) for row in ds.clean_posterior
+        ]
+        sibling = path.with_name(path.stem + ".posterior.csv")
+        sibling.write_text("\n".join(plines) + "\n", encoding="utf-8")
+
+
+def _reference_float(token, path, lineno):
+    try:
+        v = float(token)
+    except ValueError:
+        raise ValueError(f"{path}:{lineno}: bad float {token!r}") from None
+    if not math.isfinite(v):
+        raise ValueError(f"{path}:{lineno}: non-finite value {token!r}")
+    return v
+
+
+def _reference_table(path, width, d):
+    lines = path.read_text(encoding="utf-8").splitlines()
+    xs, labels = [], []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(
+                f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
+            )
+        xs.append([_reference_float(t, path, lineno) for t in parts[:d]])
+        try:
+            labels.append([int(t) for t in parts[d:]])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad label") from None
+    x = np.array(xs, dtype=np.float64).reshape(len(xs), d)
+    return x, np.array(labels, dtype=np.int64).reshape(len(xs), width - d)
+
+
+def reference_read_csv(path):
+    """The per-token reader: (x, labels, posterior or None) of a file whose
+    header is well formed."""
+    header = path.read_text(encoding="utf-8").splitlines()[0].split(",")
+    n_labels = 2 if header[-1] == "y_noisy" else 1
+    x, labels = _reference_table(path, len(header), len(header) - n_labels)
+    sibling = path.with_name(path.stem + ".posterior.csv")
+    posterior = None
+    if sibling.exists():
+        pc = len(sibling.read_text(encoding="utf-8").splitlines()[0].split(","))
+        posterior = _reference_table(sibling, pc, pc)[0]
+    return x, labels, posterior
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def assert_codec_matches_reference(tmp_path, ds):
+    """write_csv's bytes equal the reference writer's, and read_csv gives
+    back bit-equal arrays, the reference reader's."""
+    ref, got = tmp_path / "ref.csv", tmp_path / "got.csv"
+    reference_write_csv(ref, ds)
+    data.write_csv(got, ds)
+    assert got.read_bytes() == ref.read_bytes()
+    ref_sibling = tmp_path / "ref.posterior.csv"
+    got_sibling = tmp_path / "got.posterior.csv"
+    assert got_sibling.exists() == ref_sibling.exists()
+    if ref_sibling.exists():
+        assert got_sibling.read_bytes() == ref_sibling.read_bytes()
+    back = data.read_csv(got)
+    x, labels, posterior = reference_read_csv(ref)
+    assert same_bits(back.x, x) and same_bits(back.x, ds.x)
+    assert back.x.flags.c_contiguous
+    assert same_bits(back.y_clean, labels[:, 0])
+    assert same_bits(back.y_clean, ds.y_clean)
+    if ds.y_noisy is None:
+        assert back.y_noisy is None and labels.shape[1] == 1
+    else:
+        assert same_bits(back.y_noisy, labels[:, 1])
+        assert same_bits(back.y_noisy, ds.y_noisy)
+    if ds.clean_posterior is None:
+        assert back.clean_posterior is None and posterior is None
+    else:
+        assert same_bits(back.clean_posterior, posterior)
+        assert same_bits(back.clean_posterior, ds.clean_posterior)
+
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 0.1 + 0.2, 1 / 3]
+
+
+class TestCsvCodecMatchesReference:
+    def test_edge_values(self, tmp_path):
+        x = np.array([EDGE_VALUES, EDGE_VALUES[::-1]])
+        ds = data.Dataset(x=x, y_clean=[0, 1], classes=2, y_noisy=[1, 1])
+        assert_codec_matches_reference(tmp_path, ds)
+        text = (tmp_path / "got.csv").read_text(encoding="utf-8")
+        assert text.splitlines()[1] == (
+            "-0.0,5e-324,1e-05,1e+16,0.30000000000000004,0.3333333333333333,0,1"
+        )
+
+    def test_signed_zero_posterior_differs_from_x(self, tmp_path):
+        # Equal values, different bits: the sibling must not reuse x's text.
+        x = np.array([[-0.0, 1.0], [0.5, 0.5]])
+        post = np.array([[0.0, 1.0], [0.5, 0.5]])
+        ds = data.Dataset(x=x, y_clean=[1, 0], classes=2, clean_posterior=post)
+        assert_codec_matches_reference(tmp_path, ds)
+        sibling = (tmp_path / "got.posterior.csv").read_text(encoding="utf-8")
+        assert sibling.splitlines()[1] == "0.0,1.0"
+
+    def test_simplex_posterior_shares_x(self, tmp_path):
+        ds = data.gen_simplex_feature(4, 200, "edge-scattered", cap=0.9, seed=42)
+        assert_codec_matches_reference(tmp_path, ds.with_noisy((ds.y_clean + 1) % 4))
+
+    def test_gaussian_posterior_differs_from_x(self, tmp_path):
+        means = 2.5 * np.eye(3, 5)
+        ds = data.gen_gaussian_mixture(3, 5, means, n=150, seed=43)
+        assert ds.d != ds.classes
+        assert_codec_matches_reference(tmp_path, ds.with_noisy(ds.y_clean[::-1]))
+
+    def test_without_noisy_labels(self, tmp_path):
+        ds = data.gen_simplex_feature(3, 80, "corner-rich", seed=44)
+        assert ds.y_noisy is None
+        assert_codec_matches_reference(tmp_path, ds)
+
+    def test_header_only(self, tmp_path):
+        ds = data.Dataset(x=np.zeros((0, 2)), y_clean=[], classes=2, y_noisy=[])
+        assert_codec_matches_reference(tmp_path, ds)
+
+    def test_blank_line_skipped(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text(
+            "x0,x1,y_clean\n0.25,0.75,1\n\n-0.0,1e-05,0\n", encoding="utf-8"
+        )
+        ds = data.read_csv(path)
+        x, labels, _ = reference_read_csv(path)
+        assert same_bits(ds.x, x)
+        assert same_bits(ds.y_clean, labels[:, 0])
+        assert ds.n == 2
+
+    def test_earlier_non_finite_value_reported_before_later_bad_label(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,y_clean\n0.5,1\ninf,0\n0.5,1.5\n", encoding="utf-8")
+        with pytest.raises(ValueError) as want:
+            reference_read_csv(path)
+        with pytest.raises(data.CsvError) as got:
+            data.read_csv(path)
+        assert str(got.value) == str(want.value) == f"{path}:3: non-finite value 'inf'"
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.5,1\n0.5,x\n", ":3: bad label"),
+            ("0.5,1\n0.5,1.5\n", ":3: bad label"),
+            ("0.5,1\n1e999,1\n", ":3: non-finite value '1e999'"),
+            ("nan,1\n", ":2: non-finite value 'nan'"),
+            ("0.5,1\n\n0.5,1,2\n", ":4: expected 2 fields, got 3"),
+            ("0.5,1,2\n0.5\n", ":2: expected 2 fields, got 3"),
+            ("0.5,1\n0.x5,1\n", ":3: bad float '0.x5'"),
+        ],
+    )
+    def test_error_text_matches_reference(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,y_clean\n" + body, encoding="utf-8")
+        with pytest.raises(ValueError) as want:
+            reference_read_csv(path)
+        with pytest.raises(data.CsvError) as got:
+            data.read_csv(path)
+        assert str(got.value) == str(want.value) == f"{path}{message}"
+
+    def test_empty_posterior_sibling_names_it(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,y_clean\n0.5,1\n", encoding="utf-8")
+        (tmp_path / "d.posterior.csv").write_text("", encoding="utf-8")
+        with pytest.raises(data.CsvError, match=r"d\.posterior\.csv:1: empty file"):
+            data.read_csv(path)
+
+    def test_invalid_dataset_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,y_clean\n0.5,1\n", encoding="utf-8")
+        sibling = tmp_path / "d.posterior.csv"
+        sibling.write_text("p0,p1\n0.9,0.9\n", encoding="utf-8")
+        with pytest.raises(data.CsvError, match=r"d\.csv: clean_posterior rows"):
+            data.read_csv(path)
+
+    def test_label_beyond_int64_names_the_file(self, tmp_path):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,y_clean\n0.5,99999999999999999999\n", encoding="utf-8")
+        with pytest.raises(data.CsvError, match=r"d\.csv: label out of int64 range"):
+            data.read_csv(path)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        x=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(0, 40), st.integers(1, 6)),
+            elements=st.floats(allow_nan=False, allow_infinity=False),
+        ),
+        seed=st.integers(0, 2**32 - 1),
+        noisy=st.booleans(),
+    )
+    def test_any_finite_matrix_round_trips(self, tmp_path_factory, x, seed, noisy):
+        rng = np.random.default_rng(seed)
+        classes = 3
+        y = rng.integers(0, classes, size=(2, x.shape[0]))
+        ds = data.Dataset(
+            x=x, y_clean=y[0], classes=classes, y_noisy=y[1] if noisy else None
+        )
+        assert_codec_matches_reference(tmp_path_factory.mktemp("codec"), ds)
 
 
 class TestDatasetValidation:
