@@ -15,8 +15,9 @@ functions of the config, so re-running a command reproduces them byte for
 byte; manifest.txt is the one exception, since it records wall time.
 
 Exit codes: 0 success, 2 config error (including missing upstream
-artifacts and malformed dataset CSVs), 3 numerical failure (non-finite
-training abort or a singular matrix). The environment variable
+artifacts, malformed dataset CSVs, missing or malformed files that config
+keys name, and empty splits), 3 numerical failure (non-finite training
+abort or a singular matrix). The environment variable
 VOLMIN_THREADS caps how many sweep trials run in parallel; unset or 1 means
 sequential.
 """
@@ -24,6 +25,7 @@ sequential.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import platform
 import sys
@@ -56,10 +58,39 @@ class NumericalFailure(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# dataset construction shared by generate and sweep
+# pipeline stages, shared by the staged commands and sweep
 
 
-def _build_dataset(cfg: config.ExperimentConfig, seed: int) -> data.Dataset:
+@contextlib.contextmanager
+def _reading(key: str, path):
+    """Reading the file config key `key` names: a missing, unreadable or
+    malformed file is a config error that names the key and the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise config.ConfigError(f"{key}: cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise config.ConfigError(f"{key}: {exc}") from None
+
+
+def _data_inputs(cfg: config.ExperimentConfig) -> list[Path]:
+    """The data files `_generate` reads, for the manifest."""
+    d = cfg.values["data"]
+    if d["generator"] == "csv":
+        return [Path(d["path"])]
+    if d["generator"] == "gaussian" and d["means_path"]:
+        return [Path(d["means_path"])]
+    return []
+
+
+def _noise_inputs(cfg: config.ExperimentConfig) -> list[Path]:
+    """The transition file `_corrupt` reads, for the manifest."""
+    spec = cfg.noise_spec()
+    return [Path(spec.matrix_path)] if spec.kind == "custom" else []
+
+
+def _generate(cfg: config.ExperimentConfig, seed: int, out_dir: Path) -> data.Dataset:
+    """Build the configured dataset; writes dataset.csv."""
     d = cfg.values["data"]
     classes = d["classes"]
     if d["generator"] == "simplex":
@@ -69,17 +100,19 @@ def _build_dataset(cfg: config.ExperimentConfig, seed: int) -> data.Dataset:
     elif d["generator"] == "gaussian":
         dim = d["d"] or classes
         if d["means_path"]:
-            means = linalg.read_matrix_text(d["means_path"])
+            with _reading("data.means_path", d["means_path"]):
+                means = linalg.read_matrix_text(d["means_path"])
             if means.shape != (classes, dim):
                 raise config.ConfigError(
-                    f"data.means_path: expected a {classes}x{dim} matrix, got "
-                    f"{means.shape[0]}x{means.shape[1]}"
+                    f"data.means_path: {d['means_path']}: expected a {classes}x{dim} "
+                    f"matrix, got {means.shape[0]}x{means.shape[1]}"
                 )
         else:
             means = 2.5 * np.eye(classes, dim)
         ds = data.gen_gaussian_mixture(classes, dim, means, d["n"], seed=seed)
     else:  # csv
-        ds = data.read_csv(d["path"], classes=classes)
+        with _reading("data.path", d["path"]):
+            ds = data.read_csv(d["path"], classes=classes)
     if d["remove_anchor_fraction"] > 0.0:
         if ds.clean_posterior is None:
             raise config.ConfigError(
@@ -87,36 +120,48 @@ def _build_dataset(cfg: config.ExperimentConfig, seed: int) -> data.Dataset:
                 "CSV has no sibling posterior file"
             )
         ds = data.remove_anchor_candidates(ds, d["remove_anchor_fraction"])
+    data.write_csv(out_dir / "dataset.csv", ds)
     return ds
 
 
-def _read_required(path: Path, producer: str) -> data.Dataset:
-    if not path.exists():
-        raise MissingArtifactError(
-            f"missing upstream artifact {path}; run `volmin {producer}` with the "
-            f"same config first"
-        )
-    return data.read_csv(path)
-
-
-def _read_true_transition(out_dir: Path) -> np.ndarray | None:
-    path = out_dir / "true_transition.txt"
-    if path.exists():
-        return linalg.read_matrix_text(path)
-    return None
+def _corrupt(
+    cfg: config.ExperimentConfig, seed: int, out_dir: Path, ds: data.Dataset
+) -> tuple[data.Dataset, np.ndarray]:
+    """Corrupt the labels with the configured noise, then balance; writes
+    dataset_noisy.csv and true_transition.txt."""
+    spec = cfg.noise_spec()
+    key = "noise.matrix_path" if spec.kind == "custom" else "noise.rate"
+    with _reading(key, spec.matrix_path):
+        t_true = noise.build_transition(spec)
+    ds = ds.with_noisy(noise.corrupt_labels(ds.y_clean, t_true, seed=seed))
+    if cfg.get("data", "balance"):
+        ds = data.balanced_undersample(ds, seed=seed)
+    data.write_csv(out_dir / "dataset_noisy.csv", ds)
+    linalg.write_matrix_text(
+        out_dir / "true_transition.txt", t_true, comment="true noise transition"
+    )
+    return ds, t_true
 
 
 def _splits(cfg, ds_noisy, seed, with_test):
     """val (and optionally test) carved off per the configured fraction.
 
     The test split is taken first, so the train/val pool never sees it; both
-    splits are deterministic in the seed."""
+    splits are deterministic in the seed. An empty split is a config error:
+    anchor removal and balancing shrink the data after the config is read,
+    so only here is its size known."""
     vf = cfg.get("train", "val_fraction")
     test_set = None
     pool = ds_noisy
     if with_test:
         pool, test_set = data.split(ds_noisy, vf, seed=seed)
     train_set, val_set = data.split(pool, vf, seed=seed)
+    for name, part in (("train", train_set), ("validation", val_set), ("test", test_set)):
+        if part is not None and part.n == 0:
+            raise config.ConfigError(
+                f"the {name} split is empty: {ds_noisy.n} samples split by "
+                f"train.val_fraction = {vf!r}; raise data.n"
+            )
     return train_set, val_set, test_set
 
 
@@ -124,6 +169,66 @@ def _check_trained(res: trainer.TrainResult, label: str) -> trainer.TrainResult:
     if res.aborted is not None:
         raise NumericalFailure(f"{label}: {res.aborted}")
     return res
+
+
+def _train_volmin(cfg, seed, out_dir, train_set, val_set, t_true) -> trainer.TrainResult:
+    """Joint training; writes history.csv, estimated_transition.txt,
+    transition_weights.txt and classifier.txt."""
+    res = _check_trained(
+        trainer.train(train_set, val_set, cfg.train_config(seed), true_transition=t_true),
+        f"seed {seed} volmin",
+    )
+    fileio.atomic_write_text(out_dir / "history.csv", res.history.to_csv())
+    comment = "estimated transition (joint training)"
+    if t_true is not None:
+        err = noise.estimation_error(t_true, res.transition)
+        comment += f"; estimation_error = {err!r}"
+    linalg.write_matrix_text(out_dir / "estimated_transition.txt", res.transition, comment)
+    if res.transition_weights is not None:
+        linalg.write_matrix_text(
+            out_dir / "transition_weights.txt",
+            res.transition_weights,
+            comment=f"off-diagonal gate weights at selected epoch {res.best_epoch}",
+        )
+    model.save_classifier(out_dir / "classifier.txt", res.params)
+    return res
+
+
+def _anchor_methods(cfg) -> tuple[str, ...]:
+    return tuple(m for m in cfg.get("estimators", "methods") if m.startswith("anchor-"))
+
+
+def _estimate_anchor(
+    cfg, seed, out_dir, train_set, val_set, t_true
+) -> tuple[model.ClassifierParams, dict[str, np.ndarray]]:
+    """Fit the noisy posterior, then estimate T with each configured anchor
+    method; writes classifier_noisy.txt, one estimated_transition_<method>.txt
+    each and error_report.txt. Returns the fit and the estimates by method."""
+    params = _check_trained(
+        estimators.fit_noisy_posterior(train_set, val_set, cfg.train_config(seed)),
+        f"seed {seed} noisy-posterior fit",
+    ).params
+    model.save_classifier(out_dir / "classifier_noisy.txt", params)
+    estimates, report = {}, []
+    for method in _anchor_methods(cfg):
+        if method == "anchor-max":
+            t_est = estimators.anchor_estimate_max(params, train_set.x)
+        else:
+            alpha = cfg.get("estimators", "alpha")
+            t_est = estimators.anchor_estimate_percentile(params, train_set.x, alpha)
+        if t_true is not None:
+            err_text = repr(noise.estimation_error(t_true, t_est))
+        else:
+            err_text = "n/a (true transition unknown)"
+        linalg.write_matrix_text(
+            out_dir / f"estimated_transition_{method.replace('-', '_')}.txt",
+            t_est,
+            comment=f"{method} estimate; estimation_error = {err_text}",
+        )
+        report.append(f"{method} estimation_error = {err_text}")
+        estimates[method] = t_est
+    fileio.atomic_write_text(out_dir / "error_report.txt", "\n".join(report) + "\n")
+    return params, estimates
 
 
 # ---------------------------------------------------------------------------
@@ -148,49 +253,41 @@ def _posterior_linf(params, test_set) -> float | None:
     return float(np.abs(h - test_set.clean_posterior).max(axis=1).mean())
 
 
-def _anchor_methods(cfg) -> tuple[str, ...]:
-    return tuple(m for m in cfg.get("estimators", "methods") if m.startswith("anchor-"))
-
-
-def _estimate_anchor_transition(method: str, cfg, params, xs) -> np.ndarray:
-    if method == "anchor-max":
-        return estimators.anchor_estimate_max(params, xs)
-    return estimators.anchor_estimate_percentile(params, xs, cfg.get("estimators", "alpha"))
-
-
 # ---------------------------------------------------------------------------
 # commands; each returns the list of input files it consumed (for the manifest)
 
 
+def _read_required(path: Path, producer: str) -> data.Dataset:
+    if not path.exists():
+        raise MissingArtifactError(
+            f"missing upstream artifact {path}; run `volmin {producer}` with the "
+            f"same config first"
+        )
+    return data.read_csv(path)
+
+
+def _noisy_splits(cfg, out_dir: Path):
+    """The staged train and validation splits of dataset_noisy.csv, the true
+    transition when corrupt wrote one, and the files read."""
+    src = out_dir / "dataset_noisy.csv"
+    train_set, val_set, _ = _splits(
+        cfg, _read_required(src, "corrupt"), cfg.seeds[0], with_test=False
+    )
+    t_path = out_dir / "true_transition.txt"
+    if not t_path.exists():
+        return train_set, val_set, None, [src]
+    return train_set, val_set, linalg.read_matrix_text(t_path), [src, t_path]
+
+
 def cmd_generate(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
-    seed = cfg.seeds[0]
-    ds = _build_dataset(cfg, seed)
-    data.write_csv(out_dir / "dataset.csv", ds)
-    d = cfg.values["data"]
-    inputs = []
-    if d["generator"] == "csv":
-        inputs.append(Path(d["path"]))
-    if d["generator"] == "gaussian" and d["means_path"]:
-        inputs.append(Path(d["means_path"]))
-    return inputs
+    _generate(cfg, cfg.seeds[0], out_dir)
+    return _data_inputs(cfg)
 
 
 def cmd_corrupt(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
-    seed = cfg.seeds[0]
     src = out_dir / "dataset.csv"
-    ds = _read_required(src, "generate")
-    t_true = noise.build_transition(cfg.noise_spec())
-    ds = ds.with_noisy(noise.corrupt_labels(ds.y_clean, t_true, seed=seed))
-    if cfg.get("data", "balance"):
-        ds = data.balanced_undersample(ds, seed=seed)
-    data.write_csv(out_dir / "dataset_noisy.csv", ds)
-    linalg.write_matrix_text(
-        out_dir / "true_transition.txt", t_true, comment="true noise transition"
-    )
-    inputs = [src]
-    if cfg.get("noise", "matrix_path"):
-        inputs.append(Path(cfg.get("noise", "matrix_path")))
-    return inputs
+    _corrupt(cfg, cfg.seeds[0], out_dir, _read_required(src, "generate"))
+    return [src, *_noise_inputs(cfg)]
 
 
 def cmd_check_scattered(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
@@ -225,77 +322,19 @@ def cmd_check_scattered(cfg: config.ExperimentConfig, out_dir: Path) -> list[Pat
 
 
 def cmd_train_volmin(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
-    seed = cfg.seeds[0]
-    src = out_dir / "dataset_noisy.csv"
-    ds = _read_required(src, "corrupt")
-    t_true = _read_true_transition(out_dir)
-    train_set, val_set, _ = _splits(cfg, ds, seed, with_test=False)
-    res = _check_trained(
-        trainer.train(train_set, val_set, cfg.train_config(seed), true_transition=t_true),
-        "train-volmin",
-    )
-    _write_volmin_artifacts(out_dir, res, t_true)
-    inputs = [src]
-    if t_true is not None:
-        inputs.append(out_dir / "true_transition.txt")
+    train_set, val_set, t_true, inputs = _noisy_splits(cfg, out_dir)
+    _train_volmin(cfg, cfg.seeds[0], out_dir, train_set, val_set, t_true)
     return inputs
-
-
-def _write_volmin_artifacts(trial_dir: Path, res: trainer.TrainResult, t_true) -> None:
-    fileio.atomic_write_text(trial_dir / "history.csv", res.history.to_csv())
-    comment = "estimated transition (joint training)"
-    if t_true is not None:
-        err = noise.estimation_error(t_true, res.transition)
-        comment += f"; estimation_error = {err!r}"
-    linalg.write_matrix_text(trial_dir / "estimated_transition.txt", res.transition, comment)
-    if res.transition_weights is not None:
-        linalg.write_matrix_text(
-            trial_dir / "transition_weights.txt",
-            res.transition_weights,
-            comment=f"off-diagonal gate weights at selected epoch {res.best_epoch}",
-        )
-    model.save_classifier(trial_dir / "classifier.txt", res.params)
 
 
 def cmd_estimate_anchor(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
-    seed = cfg.seeds[0]
-    src = out_dir / "dataset_noisy.csv"
-    ds = _read_required(src, "corrupt")
-    t_true = _read_true_transition(out_dir)
-    train_set, val_set, _ = _splits(cfg, ds, seed, with_test=False)
-    gres = _check_trained(
-        estimators.fit_noisy_posterior(train_set, val_set, cfg.train_config(seed)),
-        "estimate-anchor",
-    )
-    _write_anchor_artifacts(cfg, out_dir, gres, train_set.x, t_true)
-    inputs = [src]
-    if t_true is not None:
-        inputs.append(out_dir / "true_transition.txt")
-    return inputs
-
-
-def _write_anchor_artifacts(cfg, trial_dir: Path, gres, xs, t_true) -> None:
-    model.save_classifier(trial_dir / "classifier_noisy.txt", gres.params)
-    methods = _anchor_methods(cfg)
-    if not methods:
+    if not _anchor_methods(cfg):
         raise config.ConfigError(
             "estimators.methods lists no anchor estimator; nothing to do"
         )
-    report = []
-    for method in methods:
-        t_est = _estimate_anchor_transition(method, cfg, gres.params, xs)
-        if t_true is not None:
-            err_text = repr(noise.estimation_error(t_true, t_est))
-        else:
-            err_text = "n/a (true transition unknown)"
-        name = method.replace("-", "_")
-        linalg.write_matrix_text(
-            trial_dir / f"estimated_transition_{name}.txt",
-            t_est,
-            comment=f"{method} estimate; estimation_error = {err_text}",
-        )
-        report.append(f"{method} estimation_error = {err_text}")
-    fileio.atomic_write_text(trial_dir / "error_report.txt", "\n".join(report) + "\n")
+    train_set, val_set, t_true, inputs = _noisy_splits(cfg, out_dir)
+    _estimate_anchor(cfg, cfg.seeds[0], out_dir, train_set, val_set, t_true)
+    return inputs
 
 
 # ---------------------------------------------------------------------------
@@ -306,28 +345,12 @@ def _run_trial(cfg: config.ExperimentConfig, seed: int, trial_dir_text: str) -> 
     """One full pipeline pass for one seed; returns aggregate rows."""
     trial_dir = Path(trial_dir_text)
     trial_dir.mkdir(parents=True, exist_ok=True)
-    ds = _build_dataset(cfg, seed)
-    data.write_csv(trial_dir / "dataset.csv", ds)
-    t_true = noise.build_transition(cfg.noise_spec())
-    ds = ds.with_noisy(noise.corrupt_labels(ds.y_clean, t_true, seed=seed))
-    if cfg.get("data", "balance"):
-        ds = data.balanced_undersample(ds, seed=seed)
-    data.write_csv(trial_dir / "dataset_noisy.csv", ds)
-    linalg.write_matrix_text(
-        trial_dir / "true_transition.txt", t_true, comment="true noise transition"
-    )
+    ds, t_true = _corrupt(cfg, seed, trial_dir, _generate(cfg, seed, trial_dir))
     train_set, val_set, test_set = _splits(cfg, ds, seed, with_test=True)
 
     rows = []
-    methods = cfg.get("estimators", "methods")
-    if "volmin" in methods:
-        res = _check_trained(
-            trainer.train(
-                train_set, val_set, cfg.train_config(seed), true_transition=t_true
-            ),
-            f"seed {seed} volmin",
-        )
-        _write_volmin_artifacts(trial_dir, res, t_true)
+    if "volmin" in cfg.get("estimators", "methods"):
+        res = _train_volmin(cfg, seed, trial_dir, train_set, val_set, t_true)
         rows.append(
             {
                 "method": "volmin",
@@ -339,21 +362,17 @@ def _run_trial(cfg: config.ExperimentConfig, seed: int, trial_dir_text: str) -> 
                 "posterior_linf": _posterior_linf(res.params, test_set),
             }
         )
-    anchor_methods = _anchor_methods(cfg)
-    if anchor_methods:
-        gres = _check_trained(
-            estimators.fit_noisy_posterior(train_set, val_set, cfg.train_config(seed)),
-            f"seed {seed} noisy-posterior fit",
+    if _anchor_methods(cfg):
+        params, estimates = _estimate_anchor(
+            cfg, seed, trial_dir, train_set, val_set, t_true
         )
-        _write_anchor_artifacts(cfg, trial_dir, gres, train_set.x, t_true)
-        for method in anchor_methods:
-            t_est = _estimate_anchor_transition(method, cfg, gres.params, train_set.x)
+        for method, t_est in estimates.items():
             rows.append(
                 {
                     "method": method,
                     "seed": seed,
                     "est_error": noise.estimation_error(t_true, t_est),
-                    "test_accuracy": _corrected_accuracy(gres.params, t_est, test_set),
+                    "test_accuracy": _corrected_accuracy(params, t_est, test_set),
                     "posterior_linf": None,
                 }
             )
@@ -428,11 +447,7 @@ def cmd_sweep(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
             for s in seeds:
                 rows_by_seed[s] = futures[s].result()
     fileio.atomic_write_text(out_dir / "sweep.csv", sweep_csv_text(rows_by_seed, cfg))
-    d = cfg.values["data"]
-    inputs = []
-    if d["generator"] == "csv":
-        inputs.append(Path(d["path"]))
-    return inputs
+    return [*_data_inputs(cfg), *_noise_inputs(cfg)]
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,11 @@ def _cross_validate(values: dict, source: str) -> None:
         raise ConfigError(f"{source}: data.n must be positive, got {d['n']}")
     if not 0.0 < d["cap"] <= 1.0:
         raise ConfigError(f"{source}: data.cap must be in (0, 1], got {d['cap']!r}")
+    if d["generator"] == "simplex" and d["cap"] <= 1.0 / d["classes"]:
+        raise ConfigError(
+            f"{source}: data.cap must exceed 1/data.classes = 1/{d['classes']} for "
+            f"the simplex generator, got {d['cap']!r}"
+        )
     if values["noise"]["kind"] == "custom" and not values["noise"]["matrix_path"]:
         raise ConfigError(f"{source}: noise.kind = custom requires noise.matrix_path")
     t = values["train"]

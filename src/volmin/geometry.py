@@ -37,6 +37,9 @@ DEFAULT_WITNESS_TOL = 1e-9
 # A candidate within this max-abs distance of a signed permutation is the
 # trivial solution, not a witness.
 PERMUTATION_BALL = 1e-6
+# The rotation search hill-climbs its REFINE_TOP best candidates, REFINE_STEPS rounds each.
+REFINE_TOP = 8
+REFINE_STEPS = 60
 
 
 def as_posterior_matrix(h) -> np.ndarray:
@@ -199,8 +202,6 @@ def search_rotation_witness(
     trials: int = 10_000,
     seed: int = 0,
     tol: float = DEFAULT_WITNESS_TOL,
-    refine_steps: int = 60,
-    refine_top: int = 8,
 ) -> np.ndarray | None:
     """Look for an orthogonal Q, not a (signed) permutation, with
     Q^T H >= -tol. Returns the witness or None.
@@ -229,17 +230,17 @@ def search_rotation_witness(
         qs = _orthogonal_from_gaussian(rng.standard_normal((k, c, c)))
         scores = (np.transpose(qs, (0, 2, 1)) @ basis).min(axis=(1, 2))
         done += k
-        for i in np.argsort(-scores)[: refine_top]:
+        for i in np.argsort(-scores)[:REFINE_TOP]:
             if is_witness(qs[i]):
                 return qs[i].copy()
             candidates.append((float(scores[i]), qs[i].copy()))
     candidates.sort(key=lambda sq: -sq[0])
 
-    for _, q in candidates[:refine_top]:
+    for _, q in candidates[:REFINE_TOP]:
         best = q
         best_score = _min_entry(best, basis)
         step = 0.3
-        for _ in range(refine_steps):
+        for _ in range(REFINE_STEPS):
             moved = False
             for _ in range(8):
                 g = rng.standard_normal((c, c))

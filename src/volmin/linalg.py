@@ -48,21 +48,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return out
 
 
-def matmul(a, b) -> np.ndarray:
-    """Standard matrix product with an explicit shape check."""
-    a = as_matrix(a, "left operand")
-    b = as_matrix(b, "right operand")
-    if a.shape[1] != b.shape[0]:
-        raise ValueError(
-            f"matmul shape mismatch: ({a.shape[0]}x{a.shape[1]}) @ "
-            f"({b.shape[0]}x{b.shape[1]})"
-        )
-    out = a @ b
-    if not np.isfinite(out).all():
-        raise ValueError("matmul overflowed to non-finite values")
-    return out
-
-
 def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Row-pivoted LU: returns (packed LU, row permutation, permutation sign).
 

@@ -134,12 +134,6 @@ def forward_batch(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
     return probs
 
 
-def forward(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
-    """Single-sample probabilities."""
-    x = linalg.as_vector(x, "input")
-    return forward_batch(params, x[None, :])[0]
-
-
 def backward_batch(
     params: ClassifierParams, x: np.ndarray, grad_probs: np.ndarray
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -184,15 +178,6 @@ def _backward_cached(
         if l > 0:
             dz = (dz @ params.weights[l]) * (1.0 - acts[l] ** 2)  # through tanh
     return grad_ws, grad_bs
-
-
-def backward(
-    params: ClassifierParams, x: np.ndarray, grad_out: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Single-sample gradient of <grad_out, forward(params, x)>."""
-    x = linalg.as_vector(x, "input")
-    grad_out = linalg.as_vector(grad_out, "grad_out")
-    return backward_batch(params, x[None, :], grad_out[None, :])
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

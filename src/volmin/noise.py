@@ -66,7 +66,10 @@ def build_transition(spec: NoiseSpec) -> np.ndarray:
         if not spec.matrix_path:
             raise ValueError("custom noise requires matrix_path")
         t = linalg.read_matrix_text(spec.matrix_path)
-        validate_transition(t, classes=c, col_tol=1e-9)
+        try:
+            validate_transition(t, classes=c, col_tol=1e-9)
+        except ValueError as exc:
+            raise ValueError(f"{spec.matrix_path}: {exc}") from None
         return t
     raise ValueError(f"unknown noise kind {spec.kind!r}; expected one of {NOISE_KINDS}")
 

@@ -43,7 +43,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import linalg, model, noise, transition
-from .fileio import atomic_write_text
 
 _SHUFFLE_STREAM = 301
 
@@ -323,9 +322,6 @@ class TrainHistory:
         if self.aborted:
             lines.append(f"# aborted: {self.aborted}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path) -> None:
-        atomic_write_text(path, self.to_csv())
 
 
 @dataclass

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volmin import cli, linalg
+from volmin import cli, estimators, linalg
 
 TINY = """\
 data.generator = simplex
@@ -167,6 +167,8 @@ class TestExitCodes:
         run("corrupt", "--config", cfg)
         assert run("estimate-anchor", "--config", cfg) == 2
         assert "no anchor estimator" in capsys.readouterr().err
+        # refused before the noisy-posterior fit trains anything
+        assert not (tmp_path / "out" / "classifier_noisy.txt").exists()
 
     @pytest.mark.parametrize(
         "name, text, message",
@@ -203,6 +205,81 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "mine.csv:3: bad label" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "command, lines, files, message",
+        [
+            (
+                "corrupt",
+                ["noise.kind = custom", "noise.matrix_path = {dir}/t.txt"],
+                {"t.txt": "0.3,0.4,0.3\n0.4,0.3,0.3\n0.3,0.3,0.4\n"},
+                "noise.matrix_path: {dir}/t.txt: transition is not diagonally dominant",
+            ),
+            (
+                "corrupt",
+                ["noise.kind = custom", "noise.matrix_path = {dir}/absent.txt"],
+                {},
+                "noise.matrix_path: cannot read {dir}/absent.txt",
+            ),
+            (
+                "corrupt",
+                ["noise.rate = 0.9"],
+                {},
+                "noise.rate: symmetric rate must lie in",
+            ),
+            (
+                "generate",
+                ["data.generator = gaussian", "data.means_path = {dir}/means.txt"],
+                {"means.txt": "2.5,0,0\n0,oops,0\n0,0,2.5\n"},
+                "data.means_path: {dir}/means.txt:2: unparseable entry",
+            ),
+            (
+                "generate",
+                ["data.generator = gaussian", "data.means_path = {dir}/absent.txt"],
+                {},
+                "data.means_path: cannot read {dir}/absent.txt",
+            ),
+            (
+                "generate",
+                ["data.generator = csv", "data.path = {dir}/absent.csv"],
+                {},
+                "data.path: cannot read {dir}/absent.csv",
+            ),
+        ],
+        ids=["non-dominant-matrix", "missing-matrix", "rate-out-of-range",
+             "bad-means-row", "missing-means", "missing-csv"],
+    )
+    def test_bad_input_file(self, tmp_path, capsys, command, lines, files, message):
+        # A file a config key names is read in one place, which generate
+        # (data.means_path, data.path) or corrupt (noise.matrix_path) shares
+        # with sweep.
+        for name, text in files.items():
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        keys = {line.split(" = ")[0] for line in lines}
+        kept = [line for line in TINY.splitlines() if line.split(" = ")[0] not in keys]
+        text = "\n".join(kept + lines) + "\n"
+        cfg = write_cfg(tmp_path, text.replace("{dir}", str(tmp_path)))
+        message = message.replace("{dir}", str(tmp_path))
+        if command == "corrupt":
+            assert run("generate", "--config", cfg) == 0
+        for argv in ((command,), ("sweep", "--out", tmp_path / "sweep")):
+            capsys.readouterr()
+            assert run(*argv, "--config", cfg) == 2
+            err = capsys.readouterr().err
+            assert message in err
+            assert "Traceback" not in err
+
+    def test_empty_split(self, tmp_path, capsys, monkeypatch):
+        # Four samples leave the validation and test splits empty: each gets
+        # round(0.1 * n) = 0 samples.
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        cfg = write_cfg(tmp_path, TINY.replace("data.n = 400", "data.n = 4"))
+        assert run("sweep", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "config error: the validation split is empty" in err
+        assert "data.n" in err and "train.val_fraction" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
 
     def test_bad_threads_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VOLMIN_THREADS", "zero")
@@ -309,6 +386,60 @@ class TestSweep:
             )
             assert np.linalg.matrix_rank(matrix) < matrix.shape[0]
         assert rows["volmin"][3] != ""
+
+
+class TestSinglePipeline:
+    """The staged commands and a sweep trial run the same stage functions."""
+
+    def test_trial_files_match_generate_then_corrupt(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        cfg = write_cfg(tmp_path, SWEEP)
+        staged, swept = tmp_path / "staged", tmp_path / "swept"
+        assert run("generate", "--config", cfg, "--out", staged, "--seed", 3) == 0
+        assert run("corrupt", "--config", cfg, "--out", staged, "--seed", 3) == 0
+        assert run("sweep", "--config", cfg, "--out", swept, "--seed", 3) == 0
+        for name in ("dataset.csv", "dataset.posterior.csv", "dataset_noisy.csv",
+                     "dataset_noisy.posterior.csv", "true_transition.txt"):
+            assert (staged / name).read_bytes() == (swept / "seed_3" / name).read_bytes()
+
+    def test_each_anchor_estimate_computed_once(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        calls = {}
+        for name in ("anchor_estimate_max", "anchor_estimate_percentile"):
+            original = getattr(estimators, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _original(*args)
+
+            monkeypatch.setattr(estimators, name, counted)
+        cfg = write_cfg(tmp_path, SWEEP)
+        assert run("sweep", "--config", cfg) == 0
+        # two seeds, one call per anchor method and seed
+        assert calls == {"anchor_estimate_max": 2, "anchor_estimate_percentile": 2}
+
+    def test_manifest_lists_the_files_read(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        (tmp_path / "means.txt").write_text("2.5,0,0\n0,2.5,0\n0,0,2.5\n")
+        (tmp_path / "t.txt").write_text("0.8,0.1,0.1\n0.1,0.8,0.1\n0.1,0.1,0.8\n")
+        text = TINY.replace("data.generator = simplex", "data.generator = gaussian")
+        text += f"data.means_path = {tmp_path / 'means.txt'}\n"
+        custom = text.replace("noise.kind = symmetric", "noise.kind = custom")
+        custom += f"noise.matrix_path = {tmp_path / 't.txt'}\n"
+        out = tmp_path / "out"
+
+        def manifest_inputs(command, cfg_text):
+            cfg = write_cfg(tmp_path, cfg_text)
+            assert run(command, "--config", cfg) == 0
+            lines = (out / "manifest.txt").read_text(encoding="utf-8").splitlines()
+            return [ln.split(" = ")[0] for ln in lines if ln.startswith("input.")]
+
+        assert manifest_inputs("generate", custom) == ["input.means.txt"]
+        assert manifest_inputs("corrupt", custom) == ["input.dataset.csv", "input.t.txt"]
+        assert manifest_inputs("sweep", custom) == ["input.means.txt", "input.t.txt"]
+        # a matrix file that the noise kind does not read is not an input
+        unread = text + f"noise.matrix_path = {tmp_path / 'absent.txt'}\n"
+        assert manifest_inputs("corrupt", unread) == ["input.dataset.csv"]
 
 
 class TestOverrides:

@@ -153,6 +153,17 @@ class TestCrossValidation:
         with pytest.raises(config.ConfigError, match=r"cap must be in \(0, 1\]"):
             config.parse_config("data.cap = 1.5\n")
 
+    def test_simplex_cap_exceeds_uniform(self):
+        # The simplex generator caps the largest posterior entry, which is
+        # at least 1/classes; gaussian and csv data ignore the cap.
+        with pytest.raises(config.ConfigError, match=r"cap must exceed 1/data.classes = 1/3"):
+            config.parse_config("data.cap = 0.3\n")
+        with pytest.raises(config.ConfigError, match=r"1/data.classes = 1/2"):
+            config.parse_config("data.classes = 2\ndata.cap = 0.5\n")
+        cfg = config.parse_config("data.classes = 4\ndata.cap = 0.3\n")
+        assert cfg.get("data", "cap") == 0.3
+        config.parse_config("data.generator = gaussian\ndata.cap = 0.3\n")
+
     def test_remove_anchor_fraction_range(self):
         with pytest.raises(config.ConfigError, match=r"remove_anchor_fraction must be in"):
             config.parse_config("data.remove_anchor_fraction = 1.0\n")

@@ -1,5 +1,5 @@
-"""Kernel tests against independent oracles: naive triple-loop products,
-cofactor-expansion determinants, planted NNLS solutions."""
+"""Kernel tests against independent oracles: cofactor-expansion
+determinants, planted NNLS solutions."""
 
 import math
 
@@ -7,20 +7,6 @@ import numpy as np
 import pytest
 
 from volmin import linalg
-
-
-def matmul_oracle(a, b):
-    """Naive triple loop, no numpy product involved."""
-    n, k = a.shape
-    k2, m = b.shape
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for l in range(k):
-                acc += a[i, l] * b[l, j]
-            out[i, j] = acc
-    return out
 
 
 def det_cofactor(a):
@@ -33,37 +19,6 @@ def det_cofactor(a):
         minor = np.delete(np.delete(a, 0, axis=0), j, axis=1)
         total += ((-1.0) ** j) * a[0, j] * det_cofactor(minor)
     return total
-
-
-class TestMatmul:
-    def test_matches_triple_loop_oracle(self):
-        rng = np.random.default_rng(7)
-        for _ in range(20):
-            n, k, m = rng.integers(1, 7, size=3)
-            a = rng.standard_normal((n, k))
-            b = rng.standard_normal((k, m))
-            np.testing.assert_allclose(
-                linalg.matmul(a, b), matmul_oracle(a, b), atol=1e-12
-            )
-
-    def test_associativity(self):
-        rng = np.random.default_rng(8)
-        for _ in range(30):
-            a = rng.standard_normal((4, 5))
-            b = rng.standard_normal((5, 3))
-            c = rng.standard_normal((3, 6))
-            left = linalg.matmul(linalg.matmul(a, b), c)
-            right = linalg.matmul(a, linalg.matmul(b, c))
-            np.testing.assert_allclose(left, right, atol=1e-10)
-
-    def test_shape_mismatch_reports_shapes(self):
-        with pytest.raises(ValueError, match=r"\(2x3\).*\(2x3\)"):
-            linalg.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-    def test_rejects_non_finite(self):
-        bad = np.array([[1.0, np.nan], [0.0, 1.0]])
-        with pytest.raises(ValueError, match="non-finite"):
-            linalg.matmul(bad, np.eye(2))
 
 
 class TestSignedLogdet:

@@ -32,8 +32,8 @@ class TestForward:
     def test_softmax_reference_value(self):
         # Linear model with identity weights on a 2-d input: logits (2, 0).
         params = model.ClassifierParams(weights=[np.eye(2)], biases=[np.zeros(2)])
-        probs = model.forward(params, np.array([2.0, 0.0]))
-        np.testing.assert_allclose(probs, [0.880797, 0.119203], atol=1e-6)
+        probs = model.forward_batch(params, np.array([[2.0, 0.0]]))
+        np.testing.assert_allclose(probs, [[0.880797, 0.119203]], atol=1e-6)
 
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(41)
@@ -94,7 +94,7 @@ class TestForward:
         params = model.ClassifierParams(
             weights=[np.eye(2) * 500.0], biases=[np.zeros(2)]
         )
-        probs = model.forward(params, np.array([2.0, -2.0]))
+        probs = model.forward_batch(params, np.array([[2.0, -2.0]]))
         assert np.isfinite(probs).all()
         np.testing.assert_allclose(probs.sum(), 1.0, atol=1e-12)
 
