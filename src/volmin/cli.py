@@ -14,12 +14,12 @@ seeds, library versions, and wall time. All other outputs are deterministic
 functions of the config, so re-running a command reproduces them byte for
 byte; manifest.txt is the one exception, since it records wall time.
 
-Exit codes: 0 success, 2 config error (including missing upstream
-artifacts, malformed dataset CSVs, missing or malformed files that config
-keys name, and empty splits), 3 numerical failure (non-finite training
-abort or a singular matrix). The environment variable
-VOLMIN_THREADS caps how many sweep trials run in parallel; unset or 1 means
-sequential.
+Exit codes: 0 success, 2 config error (including missing or malformed
+upstream artifacts, malformed dataset CSVs, missing or malformed files that
+config keys name, empty splits, and a class left empty under data.balance),
+3 numerical failure (non-finite training abort or a singular matrix). The
+environment variable VOLMIN_THREADS caps how many sweep trials run in
+parallel; unset or 1 means sequential.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ from . import (
 )
 
 
-class MissingArtifactError(FileNotFoundError):
-    """An input file a previous pipeline stage should have produced is absent."""
+class ArtifactError(Exception):
+    """An input file a previous pipeline stage should have produced is absent
+    or malformed."""
 
 
 class NumericalFailure(RuntimeError):
@@ -135,7 +136,10 @@ def _corrupt(
         t_true = noise.build_transition(spec)
     ds = ds.with_noisy(noise.corrupt_labels(ds.y_clean, t_true, seed=seed))
     if cfg.get("data", "balance"):
-        ds = data.balanced_undersample(ds, seed=seed)
+        try:
+            ds = data.balanced_undersample(ds, seed=seed)
+        except ValueError as exc:
+            raise config.ConfigError(f"data.balance = true: {exc}") from None
     data.write_csv(out_dir / "dataset_noisy.csv", ds)
     linalg.write_matrix_text(
         out_dir / "true_transition.txt", t_true, comment="true noise transition"
@@ -259,7 +263,7 @@ def _posterior_linf(params, test_set) -> float | None:
 
 def _read_required(path: Path, producer: str) -> data.Dataset:
     if not path.exists():
-        raise MissingArtifactError(
+        raise ArtifactError(
             f"missing upstream artifact {path}; run `volmin {producer}` with the "
             f"same config first"
         )
@@ -276,7 +280,20 @@ def _noisy_splits(cfg, out_dir: Path):
     t_path = out_dir / "true_transition.txt"
     if not t_path.exists():
         return train_set, val_set, None, [src]
-    return train_set, val_set, linalg.read_matrix_text(t_path), [src, t_path]
+    try:
+        t_true = linalg.read_matrix_text(t_path)
+    except OSError as exc:
+        raise ArtifactError(f"cannot read {t_path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ArtifactError(f"malformed upstream artifact: {exc}") from None
+    classes = cfg.get("data", "classes")
+    if t_true.shape != (classes, classes):
+        rows, cols = t_true.shape
+        raise ArtifactError(
+            f"malformed upstream artifact: {t_path}: expected a {classes}x{classes} "
+            f"matrix for data.classes = {classes}, got {rows}x{cols}"
+        )
+    return train_set, val_set, t_true, [src, t_path]
 
 
 def cmd_generate(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
@@ -297,7 +314,7 @@ def cmd_check_scattered(cfg: config.ExperimentConfig, out_dir: Path) -> list[Pat
         src = out_dir / "dataset.csv"
     ds = _read_required(src, "generate")
     if ds.clean_posterior is None:
-        raise MissingArtifactError(
+        raise ArtifactError(
             f"{src} has no sibling posterior file; the scattering checks need "
             f"the clean posteriors"
         )
@@ -528,7 +545,7 @@ def main(argv=None) -> int:
     except config.ConfigError as exc:
         print(f"volmin: config error: {exc}", file=sys.stderr)
         return 2
-    except MissingArtifactError as exc:
+    except ArtifactError as exc:
         print(f"volmin: {exc}", file=sys.stderr)
         return 2
     except data.CsvError as exc:

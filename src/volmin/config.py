@@ -237,11 +237,21 @@ def _cross_validate(values: dict, source: str) -> None:
             f"{source}: train.transition_momentum must be in [0, 1), got "
             f"{t['transition_momentum']!r}"
         )
+    if len(t["hidden"]) > 2 or any(h < 1 for h in t["hidden"]):
+        raise ConfigError(
+            f"{source}: train.hidden must list at most two positive widths, got "
+            f"{','.join(map(str, t['hidden']))}"
+        )
+    if any(not divisor > 0.0 for _, divisor in t["lr_schedule"]):
+        raise ConfigError(f"{source}: train.lr_schedule divisors must be positive")
     e = values["estimators"]
     if not 0.0 < e["alpha"] < 100.0:
         raise ConfigError(
             f"{source}: estimators.alpha must be in (0, 100), got {e['alpha']!r}"
         )
+    g = values["geometry"]
+    if g["rays"] < 1 or g["trials"] < 1:
+        raise ConfigError(f"{source}: geometry.rays and geometry.trials must be positive")
     if not values["trials"]["seeds"]:
         raise ConfigError(f"{source}: trials.seeds must list at least one seed")
     if len(set(values["trials"]["seeds"])) != len(values["trials"]["seeds"]):

@@ -265,7 +265,7 @@ def balanced_undersample(ds: Dataset, seed: int = 0) -> Dataset:
     y = ds.y_noisy if ds.y_noisy is not None else ds.y_clean
     counts = np.bincount(y, minlength=ds.classes)
     if counts.min() == 0:
-        raise ValueError("cannot balance: some class has no samples")
+        raise ValueError(f"cannot balance: class {int(counts.argmin())} has no samples")
     target = int(counts.min())
     rng = np.random.default_rng([seed, _UNDERSAMPLE_STREAM])
     keep = np.zeros(ds.n, dtype=bool)

@@ -2,9 +2,9 @@
 
 Matrices are plain 2-D float64 numpy arrays (row-major), vectors are 1-D.
 All factorization behavior the rest of the package depends on lives here so
-it is pinned in one place: LU with partial pivoting decides both the signed
-log-determinant and singularity detection, and the NNLS active-set solver is
-the cone-membership workhorse.
+it is pinned in one place: LAPACK's LU with partial pivoting (through
+`np.linalg`) decides both the signed log-determinant and singularity
+detection, and the NNLS active-set solver is the cone-membership workhorse.
 
 Text format: one row per line, entries as decimal floats separated by
 commas; lines starting with '#' are comments and are ignored. Floats are
@@ -13,16 +13,12 @@ written with `repr`, which round-trips exactly.
 
 from __future__ import annotations
 
-import math
 import warnings
 from pathlib import Path
 
 import numpy as np
 
 from .fileio import atomic_write_text
-
-# Pivot magnitudes below this are treated as exact zeros (sign 0).
-SINGULAR_PIVOT = 1e-300
 
 
 class SingularMatrixError(ValueError):
@@ -48,31 +44,6 @@ def as_vector(v, name: str = "vector") -> np.ndarray:
     return out
 
 
-def _lu_factor(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
-    """Row-pivoted LU: returns (packed LU, row permutation, permutation sign).
-
-    Raises SingularMatrixError when a pivot magnitude falls below
-    SINGULAR_PIVOT.
-    """
-    n = a.shape[0]
-    lu = a.copy()
-    perm = np.arange(n)
-    psign = 1.0
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if abs(lu[p, k]) < SINGULAR_PIVOT:
-            raise SingularMatrixError(f"singular matrix: zero pivot at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-            perm[[k, p]] = perm[[p, k]]
-            psign = -psign
-        piv = lu[k, k]
-        if k + 1 < n:
-            lu[k + 1 :, k] /= piv
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return lu, perm, psign
-
-
 def _square(a, what: str) -> np.ndarray:
     a = as_matrix(a)
     n, m = a.shape
@@ -81,63 +52,34 @@ def _square(a, what: str) -> np.ndarray:
     return a
 
 
-def _logdet_from_lu(lu: np.ndarray, sign: float) -> tuple[float, float]:
-    logabs = 0.0
-    for k in range(lu.shape[0]):
-        piv = lu[k, k]
-        if piv < 0:
-            sign = -sign
-        logabs += math.log(abs(piv))
-    return sign, logabs
-
-
-def _inverse_transpose_from_lu(lu: np.ndarray, perm: np.ndarray) -> np.ndarray:
-    # Solve a X = I column-block-wise: forward (unit lower), then backward.
-    n = lu.shape[0]
-    rhs = np.eye(n)[perm]
-    for k in range(n):
-        rhs[k + 1 :] -= np.outer(lu[k + 1 :, k], rhs[k])
-    for k in range(n - 1, -1, -1):
-        rhs[k] -= lu[k, k + 1 :] @ rhs[k + 1 :]
-        rhs[k] /= lu[k, k]
-    return rhs.T
-
-
 def signed_logdet(a) -> tuple[float, float]:
-    """(sign, log|det a|) via LU with partial pivoting.
+    """(sign, log|det a|) via LAPACK's LU with partial pivoting.
 
     sign is -1.0, 0.0, or +1.0; sign 0 (with log|det| = -inf) is reported
-    exactly when a pivot magnitude falls below SINGULAR_PIVOT.
+    exactly when the factorization meets an exactly zero pivot.
     """
-    a = _square(a, "determinant")
-    if a.shape[0] == 0:
-        return 1.0, 0.0
-    try:
-        lu, _, sign = _lu_factor(a)
-    except SingularMatrixError:
-        return 0.0, float("-inf")
-    return _logdet_from_lu(lu, sign)
+    sign, logabs = np.linalg.slogdet(_square(a, "determinant"))
+    return float(sign), float(logabs)
 
 
 def inverse_transpose(a) -> np.ndarray:
-    """Inverse of the transpose, via the same LU used by signed_logdet.
+    """Inverse of the transpose, via the same LAPACK LU as signed_logdet.
 
     Raises SingularMatrixError under exactly the signed_logdet sign-0
     condition.
     """
     a = _square(a, "inverse")
-    lu, perm, _ = _lu_factor(a)
-    return _inverse_transpose_from_lu(lu, perm)
+    try:
+        return np.linalg.inv(a).T
+    except np.linalg.LinAlgError:
+        raise SingularMatrixError("singular matrix: exactly zero pivot") from None
 
 
 def logdet_and_inverse_transpose(a) -> tuple[float, float, np.ndarray]:
-    """(sign, log|det a|, inverse of the transpose) from one factorization:
-    the same values `signed_logdet` and `inverse_transpose` return, bit for
-    bit. Raises SingularMatrixError where signed_logdet reports sign 0."""
-    a = _square(a, "inverse")
-    lu, perm, sign = _lu_factor(a)
-    sign, logabs = _logdet_from_lu(lu, sign)
-    return sign, logabs, _inverse_transpose_from_lu(lu, perm)
+    """(sign, log|det a|, inverse of the transpose): the values
+    `signed_logdet` and `inverse_transpose` return. Raises
+    SingularMatrixError where signed_logdet reports sign 0."""
+    return (*signed_logdet(a), inverse_transpose(a))
 
 
 def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float]:

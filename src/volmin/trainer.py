@@ -214,7 +214,6 @@ def loss_and_grads(
 
     loss = fidelity
     if tt is not None and lam != 0.0:
-        # One factorization for both the volume and its gradient.
         try:
             sign, logabs, inv_t = linalg.logdet_and_inverse_transpose(t_hat)
         except linalg.SingularMatrixError:

@@ -214,6 +214,7 @@ def _protocol_means(profile, cap, kind, rate):
     return runs[:, 0].mean(), runs[:, 1].mean(), runs[:, 2].mean()
 
 
+@pytest.mark.slow
 def test_c3_identifiability_without_anchors():
     # data precondition: scattered but anchor-free
     for seed in SEEDS:
@@ -250,6 +251,7 @@ def test_c3_identifiability_without_anchors():
     assert not misses, "unmet release targets:\n" + "\n".join(misses)
 
 
+@pytest.mark.slow
 def test_c4_anchor_present_sanity():
     for seed in SEEDS:
         ds = data.gen_simplex_feature(3, 20000, "corner-rich", cap=1.0, seed=seed)

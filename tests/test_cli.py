@@ -3,6 +3,7 @@ aggregate, re-run determinism, parallel parity, and the two documented
 end-to-end examples (identity noise, anchor-free ordering)."""
 
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -280,6 +281,45 @@ class TestExitCodes:
         assert "data.n" in err and "train.val_fraction" in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    def test_balance_with_empty_class(self, tmp_path, capsys, monkeypatch):
+        # Two samples cannot cover three noisy classes, so balancing by
+        # undersampling has nothing to keep.
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        text = TINY.replace("data.n = 400", "data.n = 2") + "data.balance = true\n"
+        cfg = write_cfg(tmp_path, text)
+        assert run("sweep", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert re.search(r"config error: data\.balance = true: .* class \d has no", err)
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "sweep.csv").exists()
+
+    @pytest.mark.parametrize("command", ["train-volmin", "estimate-anchor"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1,2,oops\n", "true_transition.txt:1: unparseable entry"),
+            (
+                "0.8,0.2\n0.2,0.8\n",
+                "true_transition.txt: expected a 3x3 matrix for data.classes = 3, "
+                "got 2x2",
+            ),
+        ],
+        ids=["unparseable", "wrong-shape"],
+    )
+    def test_malformed_true_transition(self, tmp_path, capsys, command, text, message):
+        cfg = write_cfg(tmp_path, TINY)
+        out = tmp_path / "out"
+        assert run("generate", "--config", cfg) == 0
+        assert run("corrupt", "--config", cfg) == 0
+        (out / "true_transition.txt").write_text(text, encoding="utf-8")
+        capsys.readouterr()
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert "malformed upstream artifact" in err and message in err
+        assert "Traceback" not in err
+        # refused before anything trains
+        assert not list(out.glob("classifier*.txt"))
 
     def test_bad_threads_value(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("VOLMIN_THREADS", "zero")

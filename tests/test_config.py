@@ -180,6 +180,25 @@ class TestCrossValidation:
         with pytest.raises(config.ConfigError, match=r"alpha must be in \(0, 100\)"):
             config.parse_config("estimators.alpha = 100\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("train.hidden = 0", r"train\.hidden must list at most two positive widths, got 0$"),
+            ("train.hidden = 4,4,4", r"train\.hidden .* got 4,4,4$"),
+            ("train.lr_schedule = 1:0", r"train\.lr_schedule divisors must be positive"),
+            ("geometry.rays = 0", r"geometry\.rays and geometry\.trials must be positive"),
+            ("geometry.trials = 0", r"geometry\.rays and geometry\.trials must be positive"),
+        ],
+        ids=["hidden-zero", "hidden-three-layers", "schedule-zero-divisor",
+             "rays-zero", "trials-zero"],
+    )
+    def test_ranges_the_pipeline_enforces(self, line, message):
+        # Each of these used to pass the config and crash inside the stage
+        # that uses the key (model init, the learning-rate schedule, the
+        # scattering checks).
+        with pytest.raises(config.ConfigError, match=message):
+            config.parse_config(line + "\n")
+
     def test_seeds_nonempty(self):
         with pytest.raises(config.ConfigError, match="at least one seed"):
             config.parse_config("trials.seeds = \n")

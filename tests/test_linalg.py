@@ -53,7 +53,7 @@ class TestSignedLogdet:
         # log|det(AB)| = log|det A| + log|det B| for well-conditioned factors
         rng = np.random.default_rng(12)
         for _ in range(30):
-            n = int(rng.integers(2, 6))
+            n = int(rng.integers(2, 11))
             a = rng.standard_normal((n, n)) + 3 * np.eye(n)
             b = rng.standard_normal((n, n)) + 3 * np.eye(n)
             sa, la = linalg.signed_logdet(a)
@@ -71,7 +71,7 @@ class TestInverseTranspose:
     def test_residual_bound(self):
         rng = np.random.default_rng(13)
         for _ in range(25):
-            n = int(rng.integers(2, 8))
+            n = int(rng.integers(2, 11))
             a = rng.standard_normal((n, n)) + 2 * np.eye(n)
             it = linalg.inverse_transpose(a)
             resid = np.abs(a.T @ it - np.eye(n)).max()
@@ -82,6 +82,36 @@ class TestInverseTranspose:
             linalg.inverse_transpose([[1.0, 2.0], [2.0, 4.0]])
         with pytest.raises(linalg.SingularMatrixError):
             linalg.logdet_and_inverse_transpose([[1.0, 2.0], [2.0, 4.0]])
+
+    @pytest.mark.parametrize("n", [2, 3, 10])
+    @pytest.mark.parametrize(
+        "kind, singular",
+        [
+            ("random", False),
+            ("permutation", False),
+            ("tiny pivot", False),
+            ("zero row", True),
+            ("zero column", True),
+        ],
+    )
+    def test_sign_zero_exactly_when_inverse_raises(self, n, kind, singular):
+        rng = np.random.default_rng([20, n])
+        a = rng.standard_normal((n, n))
+        if kind == "permutation":
+            a = np.eye(n)[rng.permutation(n)]
+        elif kind == "tiny pivot":
+            a = np.diag([1e-200] + [1.0] * (n - 1))
+        elif kind == "zero row":
+            a[n // 2] = 0.0
+        elif kind == "zero column":
+            a[:, n // 2] = 0.0
+        sign, _ = linalg.signed_logdet(a)
+        try:
+            linalg.inverse_transpose(a)
+            raised = False
+        except linalg.SingularMatrixError:
+            raised = True
+        assert (sign == 0.0) == raised == singular
 
     def test_one_factorization_matches_separate_calls(self):
         rng = np.random.default_rng(14)
