@@ -14,7 +14,7 @@ every consumer of a seed independent of the others:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
 
@@ -39,6 +39,12 @@ class Dataset:
     classes: int
     y_noisy: np.ndarray | None = None
     clean_posterior: np.ndarray | None = None
+    # (x rows, posterior rows or None) as `write_csv` formatted them, kept
+    # so that `with_noisy`'s dataset, which holds the same arrays, is not
+    # formatted again. Stale if x or clean_posterior is changed in place.
+    csv_rows: tuple[list[str], list[str] | None] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         self.x = np.asarray(self.x, dtype=np.float64)
@@ -91,13 +97,15 @@ class Dataset:
         )
 
     def with_noisy(self, y_noisy: np.ndarray) -> "Dataset":
-        return Dataset(
+        out = Dataset(
             x=self.x,
             y_clean=self.y_clean,
             classes=self.classes,
             y_noisy=np.asarray(y_noisy, dtype=np.int64),
             clean_posterior=self.clean_posterior,
         )
+        out.csv_rows = self.csv_rows
+        return out
 
 
 def _labels_from_posterior(posterior: np.ndarray, rng) -> np.ndarray:
@@ -313,13 +321,27 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
+def _csv_rows(ds: Dataset) -> tuple[list[str], list[str] | None]:
+    """`ds.csv_rows`, formatted on first use. When the posterior is the
+    feature matrix (simplex data), its row text is x's."""
+    if ds.csv_rows is None:
+        x_rows = _float_rows(ds.x)
+        p = ds.clean_posterior
+        if p is None:
+            p_rows = None
+        else:
+            p_rows = x_rows if _same_bits(p, ds.x) else _float_rows(p)
+        ds.csv_rows = (x_rows, p_rows)
+    return ds.csv_rows
+
+
 def write_csv(path, ds: Dataset) -> None:
     """Write `x0,…,x{d-1},y_clean[,y_noisy]` rows; the clean posterior, when
     present, goes to the sibling `<name>.posterior.csv`. Floats are written
-    with repr, so reading them back is bit-exact. When the posterior is the
-    feature matrix (simplex data), its row text is formatted once."""
+    with repr, so reading them back is bit-exact. The row text is formatted
+    once per dataset and kept in `ds.csv_rows`."""
     header = [f"x{i}" for i in range(ds.d)] + ["y_clean"]
-    x_rows = _float_rows(ds.x)
+    x_rows, p_rows = _csv_rows(ds)
     columns = [x_rows] if ds.d else []
     columns.append(ds.y_clean.tolist())
     if ds.y_noisy is not None:
@@ -328,9 +350,7 @@ def write_csv(path, ds: Dataset) -> None:
     lines = [",".join(header)]
     lines += [",".join(map(str, row)) for row in zip(*columns)]
     atomic_write_text(path, "\n".join(lines) + "\n")
-    p = ds.clean_posterior
-    if p is not None:
-        p_rows = x_rows if _same_bits(p, ds.x) else _float_rows(p)
+    if p_rows is not None:
         plines = [",".join(f"p{j}" for j in range(ds.classes))] + p_rows
         atomic_write_text(_posterior_path(path), "\n".join(plines) + "\n")
 
@@ -395,6 +415,11 @@ def _parse_table(raw: list[str], width: int, d: int, path):
     return _parse_lines(raw, width, d, path)
 
 
+def _x_text(raw: list[str], n_labels: int) -> list[str]:
+    """The x fields of every non-blank data line, as text."""
+    return [line.rsplit(",", n_labels)[0] for line in raw[1:] if line]
+
+
 def read_csv(path, classes: int | None = None) -> Dataset:
     """Load a dataset written by write_csv. The class count comes from the
     sibling posterior file when present, else from the given `classes`,
@@ -425,7 +450,11 @@ def read_csv(path, classes: int | None = None) -> Dataset:
         pc = len(pheader)
         if pheader != [f"p{j}" for j in range(pc)]:
             raise CsvError(f"{ppath}:1: bad header {praw[0]!r}")
-        posterior, _ = _parse_table(praw, pc, pc, ppath)
+        if pc == d and _x_text(raw, n_labels) == [ln for ln in praw[1:] if ln]:
+            # The sibling's text is the x columns' (simplex data).
+            posterior = x.copy()
+        else:
+            posterior, _ = _parse_table(praw, pc, pc, ppath)
         if posterior.shape[0] != x.shape[0]:
             raise CsvError(f"{ppath}: row count does not match {path}")
         if classes is None:

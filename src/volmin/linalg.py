@@ -6,6 +6,12 @@ it is pinned in one place: LAPACK's LU with partial pivoting (through
 `np.linalg`) decides both the signed log-determinant and singularity
 detection, and the NNLS active-set solver is the cone-membership workhorse.
 
+Singularity rule: a matrix is singular to `inverse_transpose` (which then
+raises SingularMatrixError) when the LU meets an exactly zero pivot, where
+`signed_logdet` reports sign 0, or when the inverse it computes has a
+non-finite entry, which a nonzero subnormal pivot such as diag(1e-310, 1)
+produces while `signed_logdet` still reports a nonzero sign.
+
 Text format: one row per line, entries as decimal floats separated by
 commas; lines starting with '#' are comments and are ignored. Floats are
 written with `repr`, which round-trips exactly.
@@ -65,20 +71,23 @@ def signed_logdet(a) -> tuple[float, float]:
 def inverse_transpose(a) -> np.ndarray:
     """Inverse of the transpose, via the same LAPACK LU as signed_logdet.
 
-    Raises SingularMatrixError under exactly the signed_logdet sign-0
-    condition.
+    Raises SingularMatrixError wherever signed_logdet reports sign 0, and
+    also when the inverse overflows (the singularity rule above).
     """
     a = _square(a, "inverse")
     try:
-        return np.linalg.inv(a).T
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         raise SingularMatrixError("singular matrix: exactly zero pivot") from None
+    if not np.isfinite(inv).all():
+        raise SingularMatrixError("singular matrix: the inverse is not finite")
+    return inv.T
 
 
 def logdet_and_inverse_transpose(a) -> tuple[float, float, np.ndarray]:
     """(sign, log|det a|, inverse of the transpose): the values
     `signed_logdet` and `inverse_transpose` return. Raises
-    SingularMatrixError where signed_logdet reports sign 0."""
+    SingularMatrixError where inverse_transpose does."""
     return (*signed_logdet(a), inverse_transpose(a))
 
 

@@ -185,13 +185,18 @@ def loss_and_grads(
     With `natural`, the transition gradient is replaced by the gates'
     natural-gradient direction (`transition.backward`). `fixed_logdet`, when
     given, is `linalg.signed_logdet(fixed_transition)`, so that a caller
-    stepping many batches against one fixed matrix factors it once.
+    stepping many batches against one fixed matrix factors it once. A
+    trainable transition is validated and realized once per call, and its
+    backward reuses the realization's gates and column sums.
 
     Returns (stats, grad_weights_or_None, (grad_ws, grad_bs)).
     """
     if (tt is None) == (fixed_transition is None):
         raise ValueError("exactly one of tt / fixed_transition must be given")
-    t_hat = transition.realize(tt) if tt is not None else fixed_transition
+    if tt is not None:
+        t_hat, gates, sums = transition._forward_cached(tt)
+    else:
+        t_hat = fixed_transition
     probs, acts = model._forward_cached(params, x)
     q = probs @ t_hat.T
     n = x.shape[0]
@@ -232,7 +237,10 @@ def loss_and_grads(
         if tt is not None:
             grad_t = grad_t + lam * inv_t
 
-    grad_w = transition.backward(tt, grad_t, natural) if tt is not None else None
+    grad_w = (
+        transition._backward_cached(t_hat, gates, sums, grad_t, natural)
+        if tt is not None else None
+    )
     grad_ws, grad_bs = model._backward_cached(params, acts, probs, grad_probs)
     stats = StepStats(loss, fidelity, sign, logabs, clamp_events, det_sign_events)
     return stats, grad_w, (grad_ws, grad_bs)

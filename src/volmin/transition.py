@@ -79,13 +79,23 @@ def _column_sums(a: np.ndarray) -> np.ndarray:
     return np.array([math.fsum(a[:, j]) for j in range(a.shape[1])])
 
 
-def realize(tt: TrainableTransition) -> np.ndarray:
-    """Realized transition matrix: gates normalized per column."""
+def _forward_cached(
+    tt: TrainableTransition,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(realized matrix, gates, column sums): the gates and sums are what
+    `_backward_cached` needs, so a step that goes both ways computes them
+    once. The weights are validated here, once per call."""
     w = linalg.as_matrix(tt.weights, "transition weights")
     if w.shape[0] != w.shape[1] or w.shape[0] < 2:
         raise ValueError(f"weights must be square with C >= 2, got {w.shape}")
     a = _gates(w)
-    return a / _column_sums(a)
+    s = _column_sums(a)
+    return a / s, a, s
+
+
+def realize(tt: TrainableTransition) -> np.ndarray:
+    """Realized transition matrix: gates normalized per column."""
+    return _forward_cached(tt)[0]
 
 
 def volume(tt: TrainableTransition) -> tuple[float, float]:
@@ -108,15 +118,24 @@ def backward(
     closing a fixed fraction of the distance per step, where the plain
     gradient's extra a(1-a) factor stalls it in the sigmoid's flat tail.
     """
-    w = linalg.as_matrix(tt.weights, "transition weights")
+    t_hat, a, s = _forward_cached(tt)
     grad_output = linalg.as_matrix(grad_output, "grad_output")
-    if grad_output.shape != w.shape:
+    if grad_output.shape != t_hat.shape:
         raise ValueError(
-            f"grad_output shape {grad_output.shape} != weights shape {w.shape}"
+            f"grad_output shape {grad_output.shape} != weights shape {t_hat.shape}"
         )
-    a = _gates(w)
-    s = _column_sums(a)
-    t_hat = a / s
+    return _backward_cached(t_hat, a, s, grad_output, natural)
+
+
+def _backward_cached(
+    t_hat: np.ndarray,
+    a: np.ndarray,
+    s: np.ndarray,
+    grad_output: np.ndarray,
+    natural: bool,
+) -> np.ndarray:
+    """`backward` from the outputs of `_forward_cached`, without a second
+    forward or any validation."""
     # d T[k,j] / d A[i,j] = (delta_ki - T[k,j]) / s_j
     grad_gates = (grad_output - (grad_output * t_hat).sum(axis=0, keepdims=True)) / s
     grad_w = grad_gates if natural else grad_gates * a * (1.0 - a)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volmin import cli, estimators, linalg
+from volmin import cli, data, estimators, linalg, model
 
 TINY = """\
 data.generator = simplex
@@ -427,20 +427,29 @@ class TestSweep:
             assert np.linalg.matrix_rank(matrix) < matrix.shape[0]
         assert rows["volmin"][3] != ""
 
+    def test_overflowing_inverse_leaves_accuracy_empty(self):
+        # A subnormal pivot: LAPACK's inverse overflows instead of failing.
+        params = model.init_classifier(2, (), 2, seed=0)
+        test_set = data.gen_simplex_feature(2, 20, "corner-rich", seed=0)
+        t_est = np.diag([1e-310, 1.0])
+        assert cli._corrected_accuracy(params, t_est, test_set) is None
+
 
 class TestSinglePipeline:
     """The staged commands and a sweep trial run the same stage functions."""
 
     def test_trial_files_match_generate_then_corrupt(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VOLMIN_THREADS", raising=False)
-        cfg = write_cfg(tmp_path, SWEEP)
-        staged, swept = tmp_path / "staged", tmp_path / "swept"
-        assert run("generate", "--config", cfg, "--out", staged, "--seed", 3) == 0
-        assert run("corrupt", "--config", cfg, "--out", staged, "--seed", 3) == 0
-        assert run("sweep", "--config", cfg, "--out", swept, "--seed", 3) == 0
-        for name in ("dataset.csv", "dataset.posterior.csv", "dataset_noisy.csv",
-                     "dataset_noisy.posterior.csv", "true_transition.txt"):
-            assert (staged / name).read_bytes() == (swept / "seed_3" / name).read_bytes()
+        for balance in ("false", "true"):
+            cfg = write_cfg(tmp_path, SWEEP + f"data.balance = {balance}\n")
+            staged, swept = tmp_path / f"staged_{balance}", tmp_path / f"swept_{balance}"
+            assert run("generate", "--config", cfg, "--out", staged, "--seed", 3) == 0
+            assert run("corrupt", "--config", cfg, "--out", staged, "--seed", 3) == 0
+            assert run("sweep", "--config", cfg, "--out", swept, "--seed", 3) == 0
+            for name in ("dataset.csv", "dataset.posterior.csv", "dataset_noisy.csv",
+                         "dataset_noisy.posterior.csv", "true_transition.txt"):
+                got = (swept / "seed_3" / name).read_bytes()
+                assert (staged / name).read_bytes() == got, (balance, name)
 
     def test_each_anchor_estimate_computed_once(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VOLMIN_THREADS", raising=False)
@@ -457,6 +466,25 @@ class TestSinglePipeline:
         assert run("sweep", "--config", cfg) == 0
         # two seeds, one call per anchor method and seed
         assert calls == {"anchor_estimate_max": 2, "anchor_estimate_percentile": 2}
+
+    @pytest.mark.parametrize("balance, per_trial", [(False, 1), (True, 2)])
+    def test_x_rows_formatted_once_per_written_dataset(
+        self, tmp_path, monkeypatch, balance, per_trial
+    ):
+        # dataset_noisy.csv reuses dataset.csv's row text, and the simplex
+        # posterior reuses x's; a balanced subset is formatted afresh.
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        calls = []
+        original = data._float_rows
+
+        def counted(a):
+            calls.append(a.shape)
+            return original(a)
+
+        monkeypatch.setattr(data, "_float_rows", counted)
+        cfg = write_cfg(tmp_path, SWEEP + ("data.balance = true\n" if balance else ""))
+        assert run("sweep", "--config", cfg) == 0
+        assert len(calls) == 2 * per_trial  # two seeds
 
     def test_manifest_lists_the_files_read(self, tmp_path, monkeypatch):
         monkeypatch.delenv("VOLMIN_THREADS", raising=False)

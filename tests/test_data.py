@@ -538,6 +538,70 @@ class TestCsvCodecMatchesReference:
         assert_codec_matches_reference(tmp_path_factory.mktemp("codec"), ds)
 
 
+class TestPosteriorSibling:
+    """read_csv takes the posterior from x when the sibling's text is the x
+    columns', and parses the sibling's own text otherwise."""
+
+    def test_equal_sibling_gives_bit_equal_copy(self, tmp_path):
+        ds = data.gen_simplex_feature(3, 50, "edge-scattered", cap=0.9, seed=45)
+        path = tmp_path / "d.csv"
+        data.write_csv(path, ds)
+        back = data.read_csv(path)
+        assert same_bits(back.clean_posterior, reference_read_csv(path)[2])
+        assert same_bits(back.clean_posterior, back.x)
+        assert not np.shares_memory(back.clean_posterior, back.x)
+
+    @pytest.mark.parametrize(
+        "x_row, p_row, want",
+        [
+            ("0.5,0.5", "0.50,0.5", [0.5, 0.5]),
+            ("0.0,1.0", "-0.0,1.0", [-0.0, 1.0]),
+            ("-0.0,1.0", "0.0,1.0", [0.0, 1.0]),
+        ],
+    )
+    def test_sibling_differing_in_text_is_parsed(self, tmp_path, x_row, p_row, want):
+        path = tmp_path / "d.csv"
+        path.write_text(f"x0,x1,y_clean\n0.25,0.75,1\n{x_row},0\n", encoding="utf-8")
+        (tmp_path / "d.posterior.csv").write_text(
+            f"p0,p1\n0.25,0.75\n{p_row}\n", encoding="utf-8"
+        )
+        back = data.read_csv(path)
+        assert same_bits(back.clean_posterior, np.array([[0.25, 0.75], want]))
+        assert same_bits(back.clean_posterior, reference_read_csv(path)[2])
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("0.25,0.75\n0.5,0.x\n", ":3: bad float '0.x'"),
+            ("0.25,0.75\n0.5\n", ":3: expected 2 fields, got 1"),
+            ("0.25,0.75\n\n0.5,inf\n", ":4: non-finite value 'inf'"),
+        ],
+    )
+    def test_malformed_sibling_names_its_file_and_line(self, tmp_path, body, message):
+        path = tmp_path / "d.csv"
+        path.write_text("x0,x1,y_clean\n0.25,0.75,1\n0.5,0.5,0\n", encoding="utf-8")
+        sibling = tmp_path / "d.posterior.csv"
+        sibling.write_text("p0,p1\n" + body, encoding="utf-8")
+        with pytest.raises(data.CsvError) as got:
+            data.read_csv(path)
+        assert str(got.value) == f"{sibling}{message}"
+
+
+class TestFormattedRows:
+    def test_with_noisy_reuses_the_written_rows(self, tmp_path):
+        ds = data.gen_simplex_feature(3, 40, "corner-rich", seed=46)
+        data.write_csv(tmp_path / "a.csv", ds)
+        noisy = ds.with_noisy(ds.y_clean[::-1])
+        assert noisy.csv_rows is ds.csv_rows
+        x_rows, p_rows = ds.csv_rows
+        assert p_rows is x_rows
+        data.write_csv(tmp_path / "b.csv", noisy)
+        reference_write_csv(tmp_path / "ref.csv", noisy)
+        for name in ("b.csv", "b.posterior.csv"):
+            ref = name.replace("b", "ref", 1)
+            assert (tmp_path / name).read_bytes() == (tmp_path / ref).read_bytes()
+
+
 class TestDatasetValidation:
     def test_label_range_checked(self):
         with pytest.raises(ValueError):

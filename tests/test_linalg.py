@@ -113,6 +113,17 @@ class TestInverseTranspose:
             raised = True
         assert (sign == 0.0) == raised == singular
 
+    def test_subnormal_pivot_raises(self):
+        # LAPACK divides by a nonzero subnormal pivot without failing and
+        # returns inf and nan; the determinant alone still looks regular.
+        a = np.diag([1e-310, 1.0])
+        sign, logabs = linalg.signed_logdet(a)
+        assert sign == 1.0 and math.isfinite(logabs)
+        with pytest.raises(linalg.SingularMatrixError, match="not finite"):
+            linalg.inverse_transpose(a)
+        with pytest.raises(linalg.SingularMatrixError):
+            linalg.logdet_and_inverse_transpose(a)
+
     def test_one_factorization_matches_separate_calls(self):
         rng = np.random.default_rng(14)
         for _ in range(25):

@@ -219,6 +219,44 @@ class TestLossGradients:
             assert abs(fd - grad_ws[0][idx]) / denom < 1e-4
 
 
+class TestFusedStep:
+    """loss_and_grads realizes the transition once and backpropagates through
+    the same gates; its gradient is the public realize + backward one."""
+
+    @pytest.mark.parametrize("natural", [False, True])
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_transition_gradient_matches_public_composition(self, classes, natural):
+        rng = np.random.default_rng([73, classes])
+        params = model.init_classifier(classes, (6,), classes, seed=73, head="sparsemax")
+        w = rng.uniform(-3.0, 1.0, size=(classes, classes))
+        np.fill_diagonal(w, 0.0)
+        tt = transition.TrainableTransition(w)
+        x = rng.dirichlet([1.0] * classes, size=40)
+        y = rng.integers(0, classes, size=40)
+        lam = 1e-2
+        _, grad_w, _ = trainer.loss_and_grads(params, tt, x, y, lam, natural=natural)
+
+        # The same objective, spelled out with the public functions.
+        t_hat = transition.realize(tt)
+        probs = model.forward_batch(params, x)
+        n = x.shape[0]
+        qy = np.maximum((probs @ t_hat.T)[np.arange(n), y], trainer.PROB_CLAMP)
+        grad_q = np.zeros((n, classes))
+        grad_q[np.arange(n), y] = -1.0 / (n * qy)
+        grad_t = grad_q.T @ probs + lam * linalg.inverse_transpose(t_hat)
+        want = transition.backward(tt, grad_t, natural=natural)
+        assert grad_w.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_weights_rejected_on_direct_call(self, bad):
+        params = model.init_classifier(3, (), 3, seed=74)
+        tt = transition.init_weights(3)
+        tt.weights[0, 1] = bad
+        x = np.full((4, 3), 1.0 / 3.0)
+        with pytest.raises(ValueError, match="transition weights contains non-finite"):
+            trainer.loss_and_grads(params, tt, x, np.zeros(4, dtype=int), 1e-4)
+
+
 class TestOptimizers:
     def test_sgd_plain_step(self):
         w = np.array([1.0])
