@@ -148,16 +148,12 @@ def check_cone_coverage(
     rays = np.asarray(rays, dtype=np.float64)
     if rays.ndim != 2 or rays.shape[0] == 0 or rays.shape[1] != h.shape[0]:
         raise ValueError("rays must be a non-empty (k, classes) array")
-    basis = extreme_columns(h)
-    passed = 0
-    for v in rays:
-        vnorm = np.linalg.norm(v)
-        if vnorm == 0:
-            continue
-        _, resid = linalg.nnls(basis, v)
-        if resid / vnorm < tol:
-            passed += 1
-    frac = passed / rays.shape[0]
+    norms = np.linalg.norm(rays, axis=1)
+    bad = np.flatnonzero(~np.isfinite(rays).all(axis=1) | (norms == 0))
+    if bad.size:
+        raise ValueError(f"ray {bad[0]} is zero or non-finite: {rays[bad[0]]}")
+    _, resid = linalg.nnls(extreme_columns(h), rays.T)
+    frac = int((resid / norms < tol).sum()) / rays.shape[0]
     return frac, frac == 1.0
 
 
@@ -188,13 +184,15 @@ def _orthogonal_from_gaussian(g: np.ndarray) -> np.ndarray:
 
 
 def _cayley(s: np.ndarray) -> np.ndarray:
-    """Rotation (I - S)(I + S)^{-1} for skew-symmetric S."""
-    c = s.shape[0]
-    return np.linalg.solve((np.eye(c) + s).T, (np.eye(c) - s).T).T
+    """Rotations (I - S)(I + S)^{-1} for a stack of skew-symmetric S,
+    solved transposed: (I + S)^T = I - S."""
+    eye = np.eye(s.shape[-1])
+    return np.linalg.solve(eye - s, eye + s).swapaxes(-1, -2)
 
 
-def _min_entry(q: np.ndarray, basis: np.ndarray) -> float:
-    return float((q.T @ basis).min())
+def _min_entry(q: np.ndarray, basis: np.ndarray):
+    """Smallest entry of Q^T H, per matrix of a stack of Q."""
+    return (np.swapaxes(q, -1, -2) @ basis).min(axis=(-2, -1))
 
 
 def search_rotation_witness(
@@ -228,7 +226,7 @@ def search_rotation_witness(
     while done < trials:
         k = min(batch, trials - done)
         qs = _orthogonal_from_gaussian(rng.standard_normal((k, c, c)))
-        scores = (np.transpose(qs, (0, 2, 1)) @ basis).min(axis=(1, 2))
+        scores = _min_entry(qs, basis)
         done += k
         for i in np.argsort(-scores)[:REFINE_TOP]:
             if is_witness(qs[i]):
@@ -241,14 +239,20 @@ def search_rotation_witness(
         best_score = _min_entry(best, basis)
         step = 0.3
         for _ in range(REFINE_STEPS):
-            moved = False
-            for _ in range(8):
-                g = rng.standard_normal((c, c))
-                prop = best @ _cayley(step * (g - g.T))
-                score = _min_entry(prop, basis)
-                if score > best_score:
-                    best, best_score, moved = prop, score, True
-            if not moved:
+            # Take the first of 8 proposals that improves; rescore the rest.
+            g = rng.standard_normal((8, c, c))
+            turns = _cayley(step * (g - np.swapaxes(g, -1, -2)))
+            first = 0
+            while first < len(turns):
+                props = best @ turns[first:]
+                scores = _min_entry(props, basis)
+                better = np.flatnonzero(scores > best_score)
+                if not better.size:
+                    break
+                i = int(better[0])
+                best, best_score = props[i], scores[i]
+                first += i + 1
+            if first == 0:  # no proposal improved
                 step *= 0.5
                 if step < 1e-12:
                     break
@@ -372,11 +376,14 @@ def analyze_scattering(
     witness_tol: float = DEFAULT_WITNESS_TOL,
     anchor_delta: float = 0.05,
 ) -> ScatterReport:
-    """Run all three checks on one posterior matrix."""
+    """Run all three checks on one posterior matrix, reducing H once."""
     h = as_posterior_matrix(h)
+    if trials < 1:
+        raise ValueError("trials must be positive")
+    basis = extreme_columns(h)
     ray_set = sample_boundary_rays(h.shape[0], rays, seed)
-    frac, verdict = check_cone_coverage(h, ray_set, coverage_tol)
-    witness = search_rotation_witness(h, trials=trials, seed=seed, tol=witness_tol)
+    frac, verdict = check_cone_coverage(basis, ray_set, coverage_tol)
+    witness = search_rotation_witness(basis, trials=trials, seed=seed, tol=witness_tol)
     per_class_max, anchor_ok = anchor_presence(h, anchor_delta)
     return ScatterReport(
         classes=h.shape[0],

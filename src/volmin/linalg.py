@@ -41,15 +41,6 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
     return out
 
 
-def as_vector(v, name: str = "vector") -> np.ndarray:
-    out = np.asarray(v, dtype=np.float64)
-    if out.ndim != 1:
-        raise ValueError(f"{name} must be 1-D, got shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    return out
-
-
 def _square(a, what: str) -> np.ndarray:
     a = as_matrix(a)
     n, m = a.shape
@@ -91,7 +82,30 @@ def logdet_and_inverse_transpose(a) -> tuple[float, float, np.ndarray]:
     return (*signed_logdet(a), inverse_transpose(a))
 
 
-def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float]:
+def _passive_lstsq(a: np.ndarray, b: np.ndarray, passive: np.ndarray):
+    """Fit each row of the (k, m) b by the columns a[:, passive[i]].
+
+    Rows with equally many passive columns are one stack of SVDs, cut off
+    where lstsq cuts. Returns (rows, idx, z) per passive-set size s: rows
+    of b, their sorted passive columns and solutions, both (rows, s)."""
+    m, n = a.shape
+    sizes = passive.sum(axis=1)
+    rcond = np.finfo(np.float64).eps * max(m, n)
+    out = []
+    for s in np.unique(sizes):
+        rows = np.flatnonzero(sizes == s)
+        idx = np.nonzero(passive[rows])[1].reshape(rows.size, s)
+        sub = np.swapaxes(a.T[idx], -1, -2)  # (len(rows), m, s)
+        u, sv, vt = np.linalg.svd(sub, full_matrices=False)
+        ub = (np.swapaxes(u, -1, -2) @ b[rows, :, None])[:, :, 0]
+        keep = sv > rcond * sv[:, :1]
+        w = np.divide(ub, sv, out=np.zeros_like(ub), where=keep)
+        z = (np.swapaxes(vt, -1, -2) @ w[:, :, None])[:, :, 0]
+        out.append((rows, idx, z))
+    return out
+
+
+def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
     """Nonnegative least squares: min ||a x - b|| s.t. x >= 0.
 
     Active-set scheme in the Lawson-Hanson mold. `tol` is the dual
@@ -104,61 +118,80 @@ def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float]:
     residual. The iteration cap is 10 * cols; hitting it is reported with
     a RuntimeWarning and the best iterate is returned.
 
-    Returns (x, residual_norm).
+    `b` is (m,) or k right-hand sides as an (m, k) array; the k problems,
+    each under the rules above, run in lockstep with one gradient product
+    per step (Van Benthem & Keenan, J. Chemometrics 18, 2004). Returns
+    (x, residual_norm), for a 2-D b as (n, k) and (k,) arrays.
     """
     a = as_matrix(a, "nnls matrix")
-    b = as_vector(b, "nnls rhs")
+    b = np.asarray(b, dtype=np.float64)
+    single = b.ndim == 1
+    b = as_matrix(b[:, None] if single else b, "nnls rhs")
     m, n = a.shape
     if b.shape[0] != m:
         raise ValueError(f"nnls shape mismatch: matrix {m}x{n}, rhs {b.shape[0]}")
-    bnorm = float(np.linalg.norm(b))
+    # One problem per row from here on: x is (k, n), the residuals (k, m).
+    b = np.ascontiguousarray(b.T)
+    k = b.shape[0]
+    bnorm = np.linalg.norm(b, axis=1)
     anorm = np.linalg.norm(a, axis=0)
-    x = np.zeros(n)
-    passive = np.zeros(n, dtype=bool)
+    x = np.zeros((k, n))
+    passive = np.zeros((k, n), dtype=bool)  # equals x > 0 between steps
     resid = b.copy()
     max_iter = 10 * max(n, 1)
-    iters = 0
-    while True:
-        rnorm = float(np.linalg.norm(resid))
-        if rnorm <= 1e-12 * bnorm:
-            break
-        grad = a.T @ resid
-        grad[passive] = -np.inf
-        j = int(np.argmax(grad))
-        if not np.isfinite(grad[j]) or grad[j] <= anorm[j] * (
-            tol * rnorm + 1e-14 * bnorm
-        ):
-            break
-        if iters >= max_iter:
-            warnings.warn(
-                f"nnls did not converge within {max_iter} iterations; "
-                "returning best iterate",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            break
-        passive[j] = True
-        while True:
-            iters += 1
-            cols = np.flatnonzero(passive)
-            z, *_ = np.linalg.lstsq(a[:, cols], b, rcond=None)
-            if np.all(z > 0):
-                x[:] = 0.0
-                x[cols] = z
-                break
-            cur = x[cols]
-            neg = z <= 0
-            steps = cur[neg] / (cur[neg] - z[neg])
-            alpha = float(np.min(steps))
-            cur = cur + alpha * (z - cur)
-            cur[cur < 1e-15] = 0.0
-            x[:] = 0.0
-            x[cols] = cur
-            passive[:] = x > 0
-            if iters >= max_iter:
-                break
-        resid = b - a @ x
-    return x, float(np.linalg.norm(resid))
+    iters = np.zeros(k, dtype=np.int64)
+    live = np.arange(k)
+    capped = 0
+    while live.size:
+        rnorm = np.linalg.norm(resid[live], axis=1)
+        grad = resid[live] @ a
+        grad[passive[live]] = -np.inf
+        j = np.argmax(grad, axis=1)
+        gj = grad[np.arange(live.size), j]
+        done = (
+            (rnorm <= 1e-12 * bnorm[live])
+            | ~np.isfinite(gj)
+            | (gj <= anorm[j] * (tol * rnorm + 1e-14 * bnorm[live]))
+        )
+        cap = ~done & (iters[live] >= max_iter)
+        capped += int(cap.sum())
+        go = ~(done | cap)
+        live, j = live[go], j[go]
+        passive[live, j] = True
+        inner = live
+        while inner.size:
+            iters[inner] += 1
+            again = []
+            for rows, idx, z in _passive_lstsq(a, b[inner], passive[inner]):
+                rows = inner[rows]
+                bad = ~(z > 0).all(axis=1)
+                if bad.any():
+                    # Step from x towards z until the first entry hits zero.
+                    zb = z[bad]
+                    cur = x[rows[bad, None], idx[bad]]
+                    steps = np.full_like(zb, np.inf)
+                    np.divide(cur, cur - zb, out=steps, where=zb <= 0)
+                    cur = cur + steps.min(axis=1, keepdims=True) * (zb - cur)
+                    cur[cur < 1e-15] = 0.0
+                    z[bad] = cur
+                # x and passive are zero outside idx already.
+                x[rows[:, None], idx] = z
+                passive[rows[:, None], idx] = z > 0
+                again.append(rows[bad])
+            inner = np.concatenate(again)
+            inner = inner[iters[inner] < max_iter]
+        resid[live] = b[live] - x[live] @ a.T
+    if capped:
+        warnings.warn(
+            f"nnls did not converge within {max_iter} iterations on {capped} "
+            f"of {k} right-hand sides; returning best iterates",
+            RuntimeWarning,
+            stacklevel=2,
+        )
+    rnorm = np.linalg.norm(resid, axis=1)
+    if single:
+        return x[0], float(rnorm[0])
+    return x.T, rnorm
 
 
 # ---------------------------------------------------------------------------

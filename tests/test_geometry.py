@@ -2,12 +2,13 @@
 pass/fail posterior sets, the rotation-witness falsifier, the closed-form
 two-class interval oracle vs brute-force grid search, and simplex volume."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from volmin import geometry
+from volmin import geometry, linalg
 
 
 def edge_mixture_columns(top=0.9):
@@ -88,6 +89,19 @@ class TestConeCoverage:
                 geometry.sample_boundary_rays(2, 4),
             )
 
+    @pytest.mark.parametrize("row, value", [(2, 0.0), (1, np.nan), (3, np.inf)])
+    def test_rejects_zero_or_non_finite_ray_before_solving(self, monkeypatch, row, value):
+        # 0 lies in every cone, so a zero ray is not a failing ray; a NaN
+        # ray has no answer. Both are named before any NNLS runs.
+        def no_solve(*args, **kwargs):
+            raise AssertionError("nnls ran on invalid rays")
+
+        monkeypatch.setattr(linalg, "nnls", no_solve)
+        rays = geometry.sample_boundary_rays(3, 6, seed=20)
+        rays[row] = value
+        with pytest.raises(ValueError, match=rf"ray {row} is zero or non-finite"):
+            geometry.check_cone_coverage(np.eye(3), rays)
+
 
 class TestRotationWitness:
     def test_identity_has_no_witness(self):
@@ -115,6 +129,53 @@ class TestRotationWitness:
         b = geometry.search_rotation_witness(h, trials=200, seed=15)
         assert a is not None and b is not None
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize(
+        "name, trials, refined, digest",
+        [
+            ("identity", 2000, True, None),
+            ("interior", 10_000, False,
+             "e0e4657cbf7319d2358ced48a05ab814a0e60ad7f400cec9c4b4218c4f5e8292"),
+            ("dirichlet-c3", 500, False,
+             "19c91e4c0c870ce97de76f61638970008bccca27b63e4257591e7f315e28ca15"),
+            ("dirichlet-c4", 50, True,
+             "2ac55a6e368935ca49a3808986e859fd825cafb440879f1345a8e39badc5357c"),
+            ("dirichlet-c10", 500, True,
+             "2b8620ed300c94a9b93f9023ce61688bf00b1602d185f74bcc87b5b1f1367e1f"),
+        ],
+    )
+    def test_pinned_witness_bits(self, monkeypatch, name, trials, refined, digest):
+        # sha256 of the witness bytes (None: no witness) as the one-proposal-
+        # at-a-time hill-climb produced them; `refined` says whether the
+        # Cayley refinement ran, so both search phases stay pinned.
+        if name == "identity":
+            h = np.eye(3)
+        elif name == "interior":
+            h = np.stack([np.linspace(0.3, 0.7, 30), np.linspace(0.7, 0.3, 30)])
+        else:  # 30 columns at C = 3, 4 and 40 at C = 10, near the centre
+            c = int(name.split("-c")[1])
+            h = np.random.default_rng(c).dirichlet([8.0] * c, size=40 if c == 10 else 30).T
+        cayley_calls = []
+        cayley = geometry._cayley
+        monkeypatch.setattr(
+            geometry, "_cayley", lambda s: cayley_calls.append(1) or cayley(s)
+        )
+        q = geometry.search_rotation_witness(h, trials=trials, seed=0)
+        got = None if q is None else hashlib.sha256(q.tobytes()).hexdigest()
+        assert got == digest
+        assert bool(cayley_calls) == refined
+
+
+class TestExtremeColumns:
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    def test_reduction_is_idempotent(self, c):
+        rng = np.random.default_rng(c)
+        h = rng.dirichlet([0.5] * c, size=200).T
+        h = np.hstack([h, h[:, :7], np.eye(c)])  # duplicates and corners
+        once = geometry.extreme_columns(h)
+        twice = geometry.extreme_columns(once)
+        assert once.shape[1] <= h.shape[1]
+        assert once.tobytes() == twice.tobytes() and once.shape == twice.shape
 
 
 class TestAnchorPresence:
@@ -219,6 +280,29 @@ class TestScatterReport:
         assert "rotation_witness_found=false" in text
         assert "no witness found in 300 trials" in text
         assert "anchor_verdict=false" in text
+
+    def test_rejects_bad_trials_before_coverage(self, monkeypatch):
+        def no_coverage(*args, **kwargs):
+            raise AssertionError("coverage solved before trials were checked")
+
+        monkeypatch.setattr(geometry, "check_cone_coverage", no_coverage)
+        with pytest.raises(ValueError, match="trials must be positive"):
+            geometry.analyze_scattering(np.eye(3), rays=16, trials=0)
+
+    def test_reduces_once_and_matches_the_separate_checks(self, monkeypatch):
+        h = np.random.default_rng(21).dirichlet([0.4] * 3, size=300).T
+        rays = geometry.sample_boundary_rays(3, 64, seed=22)
+        cover = geometry.check_cone_coverage(h, rays)
+        witness = geometry.search_rotation_witness(h, trials=300, seed=22)
+        widths = []
+        reduce = geometry.extreme_columns
+        monkeypatch.setattr(
+            geometry, "extreme_columns", lambda m: widths.append(m.shape[1]) or reduce(m)
+        )
+        rep = geometry.analyze_scattering(h, rays=64, trials=300, seed=22)
+        assert widths.count(h.shape[1]) == 1  # the full H is reduced once
+        assert (rep.coverage_pass_fraction, rep.coverage_verdict) == cover
+        np.testing.assert_array_equal(rep.rotation_witness, witness)
 
     def test_witness_reported_when_found(self):
         h = np.array([[0.2, 0.8, 0.5], [0.8, 0.2, 0.5]])

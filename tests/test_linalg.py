@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from volmin import linalg
 
@@ -176,6 +178,66 @@ class TestNnls:
                 for v in grid
             )
             assert resid <= best + 1e-6
+
+    def test_columns_match_one_dimensional_solves(self):
+        # General a and b need removal steps; each column of the lockstep
+        # solve must end where its own solve does.
+        rng = np.random.default_rng(17)
+        for _ in range(40):
+            m, n = int(rng.integers(3, 11)), int(rng.integers(2, 13))
+            a = rng.standard_normal((m, n))
+            b = rng.standard_normal((m, 9))
+            b[:, :3] = np.abs(a) @ np.abs(rng.standard_normal((n, 3)))
+            x, resid = linalg.nnls(a, b)
+            assert x.shape == (n, 9) and resid.shape == (9,)
+            np.testing.assert_allclose(resid, np.linalg.norm(b - a @ x, axis=0), atol=1e-12)
+            for i in range(9):
+                xi, ri = linalg.nnls(a, b[:, i])
+                np.testing.assert_allclose(x[:, i], xi, rtol=0, atol=1e-12)
+                bnorm = np.linalg.norm(b[:, i])
+                assert (resid[i] / bnorm < 1e-8) == (ri / bnorm < 1e-8)
+
+    def test_one_dimensional_rhs_keeps_its_return_types(self):
+        x, resid = linalg.nnls(np.eye(3), [1.0, 2.0, 0.0])
+        assert x.shape == (3,) and type(resid) is float
+        np.testing.assert_allclose(x, [1.0, 2.0, 0.0])
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        m=st.integers(2, 10),
+        n=st.integers(1, 12),
+        k=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_planted_combinations_in_every_column(self, m, n, k, seed):
+        rng = np.random.default_rng(seed)
+        a = rng.uniform(0.05, 1.0, size=(m, n))
+        planted = rng.uniform(0.0, 2.0, size=(n, k))
+        x, resid = linalg.nnls(a, a @ planted)
+        assert (resid < 1e-10).all()
+        assert (x >= 0).all()
+
+    def test_iteration_cap_warns_and_returns_best_iterate(self, monkeypatch):
+        # A least-squares step that never comes out positive is undone every
+        # time, so each column loops until the 10 * cols cap.
+        solve = linalg._passive_lstsq
+
+        def never_positive(a, b, passive):
+            return [(rows, idx, -1.0 - np.abs(z)) for rows, idx, z in solve(a, b, passive)]
+
+        monkeypatch.setattr(linalg, "_passive_lstsq", never_positive)
+        a = np.array([[1.0, 0.5], [0.2, 1.0]])
+        b = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.warns(RuntimeWarning, match="did not converge within 20 iterations"):
+            x, resid = linalg.nnls(a, b)
+        np.testing.assert_array_equal(x, 0.0)
+        np.testing.assert_allclose(resid, np.linalg.norm(b, axis=0))
+        with pytest.warns(RuntimeWarning, match="did not converge"):
+            linalg.nnls(a, b[:, 0])
+
+    def test_rejects_non_finite_rhs(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            linalg.nnls(np.eye(2), [[1.0, np.nan], [0.0, 1.0]])
 
 
 class TestMatrixText:
