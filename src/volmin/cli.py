@@ -30,7 +30,6 @@ import os
 import platform
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -457,6 +456,10 @@ def cmd_sweep(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
         for s in seeds:
             rows_by_seed[s] = _run_trial(cfg, s, str(trial_dirs[s]))
     else:
+        # Imported here: the process pool pulls in multiprocessing and
+        # socket, which a sequential sweep never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = {
                 s: pool.submit(_run_trial, cfg, s, str(trial_dirs[s])) for s in seeds

@@ -343,12 +343,12 @@ def write_csv(path, ds: Dataset) -> None:
     header = [f"x{i}" for i in range(ds.d)] + ["y_clean"]
     x_rows, p_rows = _csv_rows(ds)
     columns = [x_rows] if ds.d else []
-    columns.append(ds.y_clean.tolist())
+    columns.append(map(str, ds.y_clean.tolist()))
     if ds.y_noisy is not None:
         header.append("y_noisy")
-        columns.append(ds.y_noisy.tolist())
+        columns.append(map(str, ds.y_noisy.tolist()))
     lines = [",".join(header)]
-    lines += [",".join(map(str, row)) for row in zip(*columns)]
+    lines += map(",".join, zip(*columns))
     atomic_write_text(path, "\n".join(lines) + "\n")
     if p_rows is not None:
         plines = [",".join(f"p{j}" for j in range(ds.classes))] + p_rows

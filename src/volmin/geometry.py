@@ -214,11 +214,9 @@ def search_rotation_witness(
     c = h.shape[0]
     rng = np.random.default_rng([seed, _WITNESS_STREAM])
 
-    def is_witness(q: np.ndarray) -> bool:
-        return (
-            _min_entry(q, basis) >= -tol
-            and _signed_permutation_distance(q) > PERMUTATION_BALL
-        )
+    def is_witness(q: np.ndarray, score: float) -> bool:
+        # `score` is q's _min_entry, known from the batch that scored q.
+        return score >= -tol and _signed_permutation_distance(q) > PERMUTATION_BALL
 
     candidates = []  # (score, q), best few kept for refinement
     batch = 512
@@ -229,7 +227,7 @@ def search_rotation_witness(
         scores = _min_entry(qs, basis)
         done += k
         for i in np.argsort(-scores)[:REFINE_TOP]:
-            if is_witness(qs[i]):
+            if is_witness(qs[i], scores[i]):
                 return qs[i].copy()
             candidates.append((float(scores[i]), qs[i].copy()))
     candidates.sort(key=lambda sq: -sq[0])
@@ -252,14 +250,12 @@ def search_rotation_witness(
                 i = int(better[0])
                 best, best_score = props[i], scores[i]
                 first += i + 1
-            if first == 0:  # no proposal improved
+            if first == 0:  # no proposal improved, and best was checked
                 step *= 0.5
                 if step < 1e-12:
                     break
-            if is_witness(best):
+            elif is_witness(best, best_score):
                 return best.copy()
-        if is_witness(best):
-            return best.copy()
     return None
 
 

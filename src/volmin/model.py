@@ -88,8 +88,11 @@ def init_classifier(
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise softmax, computed in place: `logits` is overwritten."""
+    logits -= logits.max(axis=1, keepdims=True)
+    np.exp(logits, out=logits)
+    logits /= logits.sum(axis=1, keepdims=True)
+    return logits
 
 
 def _sparsemax(logits: np.ndarray) -> np.ndarray:
@@ -107,23 +110,25 @@ def _sparsemax(logits: np.ndarray) -> np.ndarray:
 def _forward_cached(
     params: ClassifierParams, x: np.ndarray
 ) -> tuple[np.ndarray, list[np.ndarray]]:
-    """Returns (probs, activations); activations[l] is the input to layer l."""
+    """Returns (probs, activations); activations[l] is the input to layer l.
+    Each layer's bias add and tanh, and the softmax, overwrite the layer's
+    product instead of allocating."""
     acts = [x]
     h = x
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w.T + b
+        h = h @ w.T
+        h += b
         if l < last:
-            h = np.tanh(z)
+            np.tanh(h, out=h)
             acts.append(h)
-        else:
-            h = z
     if params.head == "softmax":
         probs = _softmax(h)
     else:
         probs = _sparsemax(h)
         if params.head == "sparsemax-smoothed":
-            probs = (1.0 - SMOOTHING) * probs + SMOOTHING / probs.shape[1]
+            probs *= 1.0 - SMOOTHING
+            probs += SMOOTHING / probs.shape[1]
     return probs, acts
 
 
@@ -152,8 +157,12 @@ def _backward_cached(
     acts: list[np.ndarray],
     probs: np.ndarray,
     grad_probs: np.ndarray,
+    out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Backward from the outputs of `_forward_cached`, without a second forward."""
+    """Backward from the outputs of `_forward_cached`, without a second
+    forward. The gradients are written into `out`, (weight, bias) arrays
+    shaped like the parameters (new ones when None), and returned. The
+    hidden activations in `acts` are overwritten by tanh derivatives."""
     if params.head != "softmax":
         # Sparsemax Jacobian: centre g on the support, zero elsewhere. The
         # smoothed head scales the sparsemax output by (1 - SMOOTHING).
@@ -165,19 +174,50 @@ def _backward_cached(
         mean = (grad_probs * support).sum(axis=1, keepdims=True) / support.sum(
             axis=1, keepdims=True
         )
-        dz = support * (grad_probs - mean)
+        dz = grad_probs - mean
+        dz *= support
     else:
         # Softmax Jacobian: dz = p * (g - <g, p>)
         inner = (grad_probs * probs).sum(axis=1, keepdims=True)
-        dz = probs * (grad_probs - inner)
-    grad_ws: list[np.ndarray] = [np.empty(0)] * len(params.weights)
-    grad_bs: list[np.ndarray] = [np.empty(0)] * len(params.biases)
+        dz = grad_probs - inner
+        dz *= probs
+    if out is None:
+        out = [np.empty_like(w) for w in params.weights], [
+            np.empty_like(b) for b in params.biases
+        ]
+    grad_ws, grad_bs = out
     for l in range(len(params.weights) - 1, -1, -1):
-        grad_ws[l] = dz.T @ acts[l]
-        grad_bs[l] = dz.sum(axis=0)
+        np.matmul(dz.T, acts[l], out=grad_ws[l])
+        dz.sum(axis=0, out=grad_bs[l])
         if l > 0:
-            dz = (dz @ params.weights[l]) * (1.0 - acts[l] ** 2)  # through tanh
+            # Through tanh: the derivative 1 - a^2, formed in acts[l].
+            a = acts[l]
+            np.square(a, out=a)
+            np.subtract(1.0, a, out=a)
+            dz = dz @ params.weights[l]
+            dz *= a
     return grad_ws, grad_bs
+
+
+def _views(
+    flat: np.ndarray, params: ClassifierParams
+) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Views of `flat` shaped like every weight of `params`, then every bias."""
+    views, at = [], 0
+    for p in (*params.weights, *params.biases):
+        views.append(flat[at : at + p.size].reshape(p.shape))
+        at += p.size
+    layers = len(params.weights)
+    return views[:layers], views[layers:]
+
+
+def _flatten(params: ClassifierParams) -> np.ndarray:
+    """Copy the parameters into one contiguous float64 buffer, weights first,
+    and rebind `params` to views of it; returns the buffer. An optimizer
+    then steps every parameter with a single array operation."""
+    flat = np.concatenate([p.ravel() for p in (*params.weights, *params.biases)])
+    params.weights, params.biases = _views(flat, params)
+    return flat
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

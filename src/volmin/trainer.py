@@ -174,6 +174,7 @@ def loss_and_grads(
     soft_targets: np.ndarray | None = None,
     natural: bool = False,
     fixed_logdet: tuple[float, float] | None = None,
+    _grad_out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ):
     """Loss and exact gradients for one batch.
 
@@ -187,7 +188,9 @@ def loss_and_grads(
     given, is `linalg.signed_logdet(fixed_transition)`, so that a caller
     stepping many batches against one fixed matrix factors it once. A
     trainable transition is validated and realized once per call, and its
-    backward reuses the realization's gates and column sums.
+    backward reuses the realization's gates and column sums; a fixed one
+    gets no gradient at all. `_grad_out`, (weight, bias) arrays shaped like
+    the classifier's, receives its gradients in place.
 
     Returns (stats, grad_weights_or_None, (grad_ws, grad_bs)).
     """
@@ -206,16 +209,23 @@ def loss_and_grads(
         clamp_events = int(((q < PROB_CLAMP) & (soft_targets > 0)).sum())
         fidelity = float(-(soft_targets * np.log(qc)).sum() / n)
         grad_q = -soft_targets / (n * qc)
+        grad_probs = grad_q @ t_hat
     else:
-        qy = q[np.arange(n), y]
-        clamp_events = int((qy < PROB_CLAMP).sum())
+        rows = np.arange(n)
+        qy = q[rows, y]
+        clamp_events = np.count_nonzero(qy < PROB_CLAMP)
         qy = np.maximum(qy, PROB_CLAMP)
-        fidelity = float(-np.log(qy).mean())
-        grad_q = np.zeros_like(q)
-        grad_q[np.arange(n), y] = -1.0 / (n * qy)
-
-    grad_probs = grad_q @ t_hat
-    grad_t = grad_q.T @ probs
+        fidelity = -float(np.log(qy).sum()) / n
+        g = -1.0 / (n * qy)
+        # d(loss)/d(q) is g on each row's label and 0 elsewhere, so its
+        # product with t_hat is a row gather.
+        grad_probs = t_hat[y]
+        grad_probs *= g[:, None]
+        if tt is not None:
+            grad_q = np.zeros_like(q)
+            grad_q[rows, y] = g
+    if tt is not None:
+        grad_t = grad_q.T @ probs
 
     loss = fidelity
     if tt is not None and lam != 0.0:
@@ -241,7 +251,9 @@ def loss_and_grads(
         transition._backward_cached(t_hat, gates, sums, grad_t, natural)
         if tt is not None else None
     )
-    grad_ws, grad_bs = model._backward_cached(params, acts, probs, grad_probs)
+    grad_ws, grad_bs = model._backward_cached(
+        params, acts, probs, grad_probs, _grad_out
+    )
     stats = StepStats(loss, fidelity, sign, logabs, clamp_events, det_sign_events)
     return stats, grad_w, (grad_ws, grad_bs)
 
@@ -416,6 +428,12 @@ def train(
         x_train.shape[1], tuple(config.hidden), classes, config.seed,
         "softmax" if warmup else config.head,
     )
+    # One buffer holds every classifier parameter, weights first, and one
+    # its gradient, so the optimizer steps them as a single array.
+    theta = model._flatten(params)
+    grad_theta = np.empty_like(theta)
+    grad_views = model._views(grad_theta, params)
+    weight_count = sum(w.size for w in params.weights)
     tt = None if fixed_transition is not None else transition.init_weights(classes)
     if fixed_transition is not None:
         noise.validate_transition(fixed_transition, classes=classes, col_tol=1e-6)
@@ -424,9 +442,7 @@ def train(
     frozen_logdet = linalg.signed_logdet(frozen)
 
     head_opt = config.head_opt or config.classifier_opt
-    opt_theta = OptimizerState(
-        config.classifier_opt if warmup else head_opt, params.weights + params.biases
-    )
+    opt_theta = OptimizerState(config.classifier_opt if warmup else head_opt, [theta])
     opt_w = (
         None if tt is None or warmup
         else OptimizerState(config.transition_opt, [tt.weights])
@@ -447,7 +463,7 @@ def train(
         if warmup and epoch == warmup + 1:
             params.head = config.head
             if config.head_opt is not None:
-                opt_theta = OptimizerState(head_opt, params.weights + params.biases)
+                opt_theta = OptimizerState(head_opt, [theta])
             if tt is not None:
                 targets = (
                     soft_targets if soft_targets is not None
@@ -462,29 +478,32 @@ def train(
         order = np.random.default_rng(
             [config.seed, _SHUFFLE_STREAM, epoch]
         ).permutation(n)
+        # One gather per epoch; each batch is then a slice of it.
+        x_epoch = x_train[order]
+        y_epoch = None if y_train is None else y_train[order]
+        s_epoch = None if soft_targets is None else soft_targets[order]
         fid_sum = 0.0
         sign_events = 0
         try:
             for start in range(0, n, config.batch_size):
-                idx = order[start : start + config.batch_size]
-                xb = x_train[idx]
-                yb = None if y_train is None else y_train[idx]
-                sb = None if soft_targets is None else soft_targets[idx]
-                stats, grad_w, (grad_ws, grad_bs) = loss_and_grads(
+                batch = slice(start, start + config.batch_size)
+                xb = x_epoch[batch]
+                yb = None if y_epoch is None else y_epoch[batch]
+                sb = None if s_epoch is None else s_epoch[batch]
+                stats, grad_w, _ = loss_and_grads(
                     params, stepped, xb, yb, config.lam,
                     fixed_transition=frozen if stepped is None else None,
                     soft_targets=sb, natural=True,
                     fixed_logdet=frozen_logdet if stepped is None else None,
+                    _grad_out=grad_views,
                 )
                 if not math.isfinite(stats.loss):
                     raise FloatingPointError(
                         f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                     )
-                fid_sum += stats.fidelity * len(idx)
+                fid_sum += stats.fidelity * len(xb)
                 sign_events += stats.det_sign_events
-                opt_theta.step(
-                    params.weights + params.biases, grad_ws + grad_bs, scale
-                )
+                opt_theta.step([theta], [grad_theta], scale)
                 if stepped is not None:
                     # Weight decay never touches the transition weights.
                     opt_w.step([tt.weights], [grad_w], scale, apply_weight_decay=False)
@@ -492,7 +511,7 @@ def train(
                     raise FloatingPointError(
                         f"non-finite transition weights at epoch {epoch}"
                     )
-                if not all(np.isfinite(w).all() for w in params.weights):
+                if not np.isfinite(theta[:weight_count]).all():
                     raise FloatingPointError(
                         f"non-finite classifier weights at epoch {epoch}"
                     )

@@ -59,12 +59,11 @@ def init_weights(classes: int, value: float | None = None) -> TrainableTransitio
 
 
 def _sigmoid(w: np.ndarray) -> np.ndarray:
-    out = np.empty_like(w)
-    pos = w >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
-    ew = np.exp(w[~pos])
-    out[~pos] = ew / (1.0 + ew)
-    return out
+    # Both branches from e = exp(-|w|), which never overflows: 1 / (1 + e)
+    # where w >= 0, e / (1 + e) below.
+    e = np.exp(-np.abs(w))
+    d = 1.0 + e
+    return np.where(w >= 0, 1.0 / d, e / d)
 
 
 def _gates(weights: np.ndarray) -> np.ndarray:
@@ -76,7 +75,7 @@ def _gates(weights: np.ndarray) -> np.ndarray:
 def _column_sums(a: np.ndarray) -> np.ndarray:
     # fsum is exactly rounded, hence order-independent: realization commutes
     # with class permutations bit-for-bit.
-    return np.array([math.fsum(a[:, j]) for j in range(a.shape[1])])
+    return np.array([math.fsum(col) for col in a.T.tolist()])
 
 
 def _forward_cached(

@@ -580,3 +580,286 @@ class TestWarmup:
         cfg = trainer.TrainConfig(epochs=1, head="sparsemax")
         with pytest.raises(ValueError, match="sparsemax"):
             trainer.train(train_set, val_set, cfg, fixed_transition=np.eye(2))
+
+
+# ---------------------------------------------------------------------------
+# Reference training step: separate arrays per parameter, a fresh array per
+# operation, the one-hot product for d(loss)/d(probs), the transition
+# gradient always computed, and an optimizer looping over a list of arrays.
+# `train` must reproduce it bit for bit.
+
+
+def reference_sigmoid(w):
+    out = np.empty_like(w)
+    pos = w >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-w[pos]))
+    ew = np.exp(w[~pos])
+    out[~pos] = ew / (1.0 + ew)
+    return out
+
+
+def reference_column_sums(a):
+    return np.array([math.fsum(a[:, j]) for j in range(a.shape[1])])
+
+
+def reference_forward(params, x):
+    acts = [x]
+    h = x
+    last = len(params.weights) - 1
+    for l, (w, b) in enumerate(zip(params.weights, params.biases)):
+        z = h @ w.T + b
+        if l < last:
+            h = np.tanh(z)
+            acts.append(h)
+        else:
+            h = z
+    if params.head == "softmax":
+        e = np.exp(h - h.max(axis=1, keepdims=True))
+        probs = e / e.sum(axis=1, keepdims=True)
+    else:
+        probs = model._sparsemax(h)
+        if params.head == "sparsemax-smoothed":
+            probs = (1.0 - model.SMOOTHING) * probs + model.SMOOTHING / probs.shape[1]
+    return probs, acts
+
+
+def reference_backward(params, acts, probs, grad_probs):
+    if params.head != "softmax":
+        floor = 0.0
+        if params.head == "sparsemax-smoothed":
+            floor = model.SMOOTHING / probs.shape[1]
+            grad_probs = (1.0 - model.SMOOTHING) * grad_probs
+        support = probs > floor
+        mean = (grad_probs * support).sum(axis=1, keepdims=True) / support.sum(
+            axis=1, keepdims=True
+        )
+        dz = support * (grad_probs - mean)
+    else:
+        inner = (grad_probs * probs).sum(axis=1, keepdims=True)
+        dz = probs * (grad_probs - inner)
+    grad_ws = [None] * len(params.weights)
+    grad_bs = [None] * len(params.biases)
+    for l in range(len(params.weights) - 1, -1, -1):
+        grad_ws[l] = dz.T @ acts[l]
+        grad_bs[l] = dz.sum(axis=0)
+        if l > 0:
+            dz = (dz @ params.weights[l]) * (1.0 - acts[l] ** 2)
+    return grad_ws, grad_bs
+
+
+def reference_step(params, tt, x, y, lam, fixed_transition, soft_targets, fixed_logdet):
+    """(fidelity, det_sign_events, grad_w, grad_ws, grad_bs), natural=True."""
+    if tt is not None:
+        t_hat, gates, sums = transition._forward_cached(tt)
+    else:
+        t_hat = fixed_transition
+    probs, acts = reference_forward(params, x)
+    q = probs @ t_hat.T
+    n = x.shape[0]
+    if soft_targets is not None:
+        qc = np.maximum(q, trainer.PROB_CLAMP)
+        fidelity = float(-(soft_targets * np.log(qc)).sum() / n)
+        grad_q = -soft_targets / (n * qc)
+    else:
+        qy = np.maximum(q[np.arange(n), y], trainer.PROB_CLAMP)
+        fidelity = float(-np.log(qy).mean())
+        grad_q = np.zeros_like(q)
+        grad_q[np.arange(n), y] = -1.0 / (n * qy)
+    grad_probs = grad_q @ t_hat
+    grad_t = grad_q.T @ probs
+    if tt is not None and lam != 0.0:
+        sign, _, inv_t = linalg.logdet_and_inverse_transpose(t_hat)
+        grad_t = grad_t + lam * inv_t
+    elif fixed_logdet is not None:
+        sign, _ = fixed_logdet
+    else:
+        sign, _ = linalg.signed_logdet(t_hat)
+    grad_w = (
+        transition._backward_cached(t_hat, gates, sums, grad_t, True)
+        if tt is not None else None
+    )
+    grad_ws, grad_bs = reference_backward(params, acts, probs, grad_probs)
+    return fidelity, int(sign <= 0), grad_w, grad_ws, grad_bs
+
+
+class ReferenceOptimizer:
+    def __init__(self, spec, params):
+        self.spec = spec
+        self.t = 0
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+
+    def step(self, params, grads, lr_scale, apply_weight_decay=True):
+        spec = self.spec
+        lr = spec.lr * lr_scale
+        self.t += 1
+        for i, (w, g) in enumerate(zip(params, grads)):
+            if apply_weight_decay and spec.weight_decay:
+                g = g + spec.weight_decay * w
+            if spec.kind == "sgd":
+                self.m[i] *= spec.momentum
+                self.m[i] += g
+                w -= lr * self.m[i]
+            else:
+                self.m[i] *= spec.beta1
+                self.m[i] += (1.0 - spec.beta1) * g
+                self.v[i] *= spec.beta2
+                self.v[i] += (1.0 - spec.beta2) * g * g
+                mhat = self.m[i] / (1.0 - spec.beta1**self.t)
+                vhat = self.v[i] / (1.0 - spec.beta2**self.t)
+                w -= lr * mhat / (np.sqrt(vhat) + spec.eps)
+
+
+def reference_train(train_set, val_set, config, fixed_transition=None,
+                    soft_targets=None, val_soft_targets=None):
+    """`trainer.train` for runs that never abort, on the reference step."""
+    x_train = np.asarray(train_set.x, dtype=np.float64)
+    y_train = trainer._labels_of(train_set) if soft_targets is None else None
+    x_val = np.asarray(val_set.x, dtype=np.float64)
+    y_val = trainer._labels_of(val_set) if val_soft_targets is None else None
+    classes, n = train_set.classes, x_train.shape[0]
+    warmup = 0 if (fixed_transition is not None and config.head == "softmax") else (
+        min(trainer.WARMUP_EPOCHS, max(config.epochs - 1, 0))
+    )
+    params = model.init_classifier(
+        x_train.shape[1], tuple(config.hidden), classes, config.seed,
+        "softmax" if warmup else config.head,
+    )
+    tt = None if fixed_transition is not None else transition.init_weights(classes)
+    frozen = fixed_transition if tt is None else transition.realize(tt)
+    frozen_logdet = linalg.signed_logdet(frozen)
+    head_opt = config.head_opt or config.classifier_opt
+    opt_theta = ReferenceOptimizer(
+        config.classifier_opt if warmup else head_opt, params.weights + params.biases
+    )
+    opt_w = (
+        None if tt is None or warmup
+        else ReferenceOptimizer(config.transition_opt, [tt.weights])
+    )
+    history = trainer.TrainHistory()
+    best_metric, best_params, best_weights = -np.inf, None, None
+    for epoch in range(1, config.epochs + 1):
+        if warmup and epoch == warmup + 1:
+            params.head = config.head
+            if config.head_opt is not None:
+                opt_theta = ReferenceOptimizer(head_opt, params.weights + params.biases)
+            if tt is not None:
+                targets = (
+                    soft_targets if soft_targets is not None
+                    else np.eye(classes)[y_train]
+                )
+                tt = trainer.confusion_start(params, x_train, targets, frozen)
+                opt_w = ReferenceOptimizer(config.transition_opt, [tt.weights])
+        stepped = None if epoch <= warmup else tt
+        scale = trainer.lr_scale_at(config.lr_schedule, epoch)
+        order = np.random.default_rng(
+            [config.seed, trainer._SHUFFLE_STREAM, epoch]
+        ).permutation(n)
+        fid_sum, sign_events = 0.0, 0
+        for start in range(0, n, config.batch_size):
+            idx = order[start : start + config.batch_size]
+            fidelity, events, grad_w, grad_ws, grad_bs = reference_step(
+                params, stepped, x_train[idx],
+                None if y_train is None else y_train[idx], config.lam,
+                frozen if stepped is None else None,
+                None if soft_targets is None else soft_targets[idx],
+                frozen_logdet if stepped is None else None,
+            )
+            fid_sum += fidelity * len(idx)
+            sign_events += events
+            opt_theta.step(params.weights + params.biases, grad_ws + grad_bs, scale)
+            if stepped is not None:
+                opt_w.step([tt.weights], [grad_w], scale, apply_weight_decay=False)
+        t_hat = transition.realize(tt) if tt is not None else fixed_transition
+        sign, logabs = linalg.signed_logdet(t_hat)
+        metric = trainer._val_metric(
+            config.selection_metric, params, t_hat, x_val, y_val, val_soft_targets
+        )
+        history.rows.append(trainer.EpochRow(
+            epoch, fid_sum / n, sign, logabs, None, metric, sign_events
+        ))
+        if epoch > warmup and metric >= best_metric:
+            best_metric = metric
+            best_params = params.copy()
+            best_weights = None if tt is None else tt.weights.copy()
+    return best_params, best_weights, history.to_csv()
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+STEP_SETUPS = ("warmup-then-sparsemax", "noisy-posterior-fit", "soft-targets", "lr-schedule")
+
+
+class TestStepMatchesReference:
+    """`train` on its flat parameter buffer, in-place passes, row-gather
+    label gradient and skipped frozen-transition gradient gives exactly the
+    bits of the reference step above."""
+
+    @pytest.mark.parametrize("setup", STEP_SETUPS)
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_train_is_bit_equal(self, monkeypatch, classes, setup):
+        ds = toy_dataset(400, classes=classes, seed=90 + classes, noisy=True)
+        train_set, val_set = data.split(ds, 0.2, seed=90)
+        cfg = trainer.TrainConfig(
+            epochs=trainer.WARMUP_EPOCHS + 3, seed=classes, hidden=(8,), batch_size=64
+        )
+        kwargs = {}
+        if setup == "noisy-posterior-fit":
+            cfg = trainer.TrainConfig(
+                epochs=cfg.epochs, seed=classes, hidden=(8,), batch_size=64,
+                lam=0.0, head="sparsemax-smoothed", head_opt=trainer.adam(1e-3),
+            )
+            kwargs["fixed_transition"] = np.eye(classes)
+        elif setup == "soft-targets":
+            kwargs["soft_targets"] = train_set.clean_posterior
+            kwargs["val_soft_targets"] = val_set.clean_posterior
+        elif setup == "lr-schedule":
+            cfg = trainer.TrainConfig(
+                epochs=cfg.epochs, seed=classes, hidden=(8, 6), batch_size=64,
+                lr_schedule=((2, 10.0), (trainer.WARMUP_EPOCHS + 1, 4.0)),
+            )
+
+        got = trainer.train(train_set, val_set, cfg, **kwargs)
+        assert got.aborted is None
+        with monkeypatch.context() as m:
+            m.setattr(transition, "_sigmoid", reference_sigmoid)
+            m.setattr(transition, "_column_sums", reference_column_sums)
+            m.setattr(model, "_forward_cached", reference_forward)
+            want_params, want_weights, want_csv = reference_train(
+                train_set, val_set, cfg, **kwargs
+            )
+
+        assert got.history.to_csv() == want_csv
+        for a, b in zip(got.params.weights + got.params.biases,
+                        want_params.weights + want_params.biases):
+            assert same_bits(a, b)
+        if want_weights is None:
+            assert got.transition_weights is None
+        else:
+            assert same_bits(got.transition_weights, want_weights)
+
+    def test_snapshots_do_not_share_the_live_buffer(self):
+        ds = toy_dataset(200, classes=3, seed=91, noisy=True)
+        train_set, val_set = data.split(ds, 0.2, seed=91)
+        cfg = trainer.TrainConfig(epochs=trainer.WARMUP_EPOCHS + 2, seed=91, hidden=(8,))
+        res = trainer.train(train_set, val_set, cfg)
+        arrays = res.params.weights + res.params.biases
+        for i, a in enumerate(arrays):
+            assert a.flags.owndata
+            for b in arrays[i + 1:]:
+                assert not np.shares_memory(a, b)
+
+    def test_sigmoid_and_column_sums_match_reference(self):
+        rng = np.random.default_rng(92)
+        for trial in range(1200):
+            c = int(rng.integers(2, 11))
+            w = rng.standard_normal((c, c)) * [1.0, 30.0, 800.0][trial % 3]
+            w = np.clip(w, -800.0, 800.0)
+            w.flat[rng.integers(0, c * c, size=2)] = [0.0, -0.0]
+            if trial % 7 == 0:
+                w.flat[rng.integers(0, c * c, size=2)] = [800.0, -800.0]
+            assert same_bits(transition._sigmoid(w), reference_sigmoid(w))
+            gates = transition._gates(w)
+            assert same_bits(transition._column_sums(gates), reference_column_sums(gates))
