@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import data, noise, trainer
+from . import data, geometry, noise, trainer
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -97,6 +97,9 @@ def _schedule(text: str) -> tuple[tuple[int, float], ...]:
     return tuple(out)
 
 
+# The training protocol's defaults, which the `train` section reads.
+_TRAIN = trainer.TrainConfig()
+
 # Schema: section -> key -> (parser, default). Defaults are the protocol
 # constants; tests assert the load-bearing ones directly.
 SCHEMA = {
@@ -118,17 +121,17 @@ SCHEMA = {
         "matrix_path": (_str, ""),
     },
     "train": {
-        "lam": (_float, trainer.DEFAULT_VOLUME_WEIGHT),
-        "epochs": (_int, 150),
-        "batch_size": (_int, 128),
-        "hidden": (_int_list, (32,)),
-        "classifier_lr": (_float, 1e-2),
-        "classifier_momentum": (_float, 0.9),
-        "classifier_weight_decay": (_float, 1e-3),
-        "transition_lr": (_float, 1e-2),
-        "transition_momentum": (_float, 0.6),
-        "lr_schedule": (_schedule, ()),
-        "selection_metric": (_choice(*trainer.SELECTION_METRICS), "noisy-val-loss"),
+        "lam": (_float, _TRAIN.lam),
+        "epochs": (_int, _TRAIN.epochs),
+        "batch_size": (_int, _TRAIN.batch_size),
+        "hidden": (_int_list, _TRAIN.hidden),
+        "classifier_lr": (_float, _TRAIN.classifier_opt.lr),
+        "classifier_momentum": (_float, _TRAIN.classifier_opt.momentum),
+        "classifier_weight_decay": (_float, _TRAIN.classifier_opt.weight_decay),
+        "transition_lr": (_float, _TRAIN.transition_opt.lr),
+        "transition_momentum": (_float, _TRAIN.transition_opt.momentum),
+        "lr_schedule": (_schedule, _TRAIN.lr_schedule),
+        "selection_metric": (_choice(*trainer.SELECTION_METRICS), _TRAIN.selection_metric),
         "val_fraction": (_float, 0.1),
     },
     "estimators": {
@@ -136,11 +139,11 @@ SCHEMA = {
         "alpha": (_float, 3.0),
     },
     "geometry": {
-        "rays": (_int, 512),
-        "trials": (_int, 10000),
-        "coverage_tol": (_float, 1e-8),
-        "witness_tol": (_float, 1e-9),
-        "anchor_delta": (_float, 0.05),
+        "rays": (_int, geometry.DEFAULT_RAY_COUNT),
+        "trials": (_int, geometry.DEFAULT_WITNESS_TRIALS),
+        "coverage_tol": (_float, geometry.DEFAULT_COVERAGE_TOL),
+        "witness_tol": (_float, geometry.DEFAULT_WITNESS_TOL),
+        "anchor_delta": (_float, geometry.DEFAULT_ANCHOR_DELTA),
     },
     "trials": {
         "seeds": (_int_list, DEFAULT_SEEDS),
@@ -216,6 +219,8 @@ def _cross_validate(values: dict, source: str) -> None:
         raise ConfigError(f"{source}: data.classes must be >= 2, got {d['classes']}")
     if d["n"] < 1:
         raise ConfigError(f"{source}: data.n must be positive, got {d['n']}")
+    if d["d"] < 0:
+        raise ConfigError(f"{source}: data.d must be >= 0, got {d['d']}")
     if not 0.0 < d["cap"] <= 1.0:
         raise ConfigError(f"{source}: data.cap must be in (0, 1], got {d['cap']!r}")
     if d["generator"] == "simplex" and d["cap"] <= 1.0 / d["classes"]:
@@ -252,6 +257,10 @@ def _cross_validate(values: dict, source: str) -> None:
     g = values["geometry"]
     if g["rays"] < 1 or g["trials"] < 1:
         raise ConfigError(f"{source}: geometry.rays and geometry.trials must be positive")
+    if not 0.0 <= g["anchor_delta"] <= 1.0:
+        raise ConfigError(
+            f"{source}: geometry.anchor_delta must be in [0, 1], got {g['anchor_delta']!r}"
+        )
     if not values["trials"]["seeds"]:
         raise ConfigError(f"{source}: trials.seeds must list at least one seed")
     if len(set(values["trials"]["seeds"])) != len(values["trials"]["seeds"]):

@@ -13,8 +13,8 @@ simplex). Two properties are probed:
     search either produces a witness Q or reports that none was found.
 
 Also here: the anchor-point check (some column per class with posterior
-entry >= 1 - delta), the closed-form minimum-volume enclosing interval
-for two classes, and simplex volume of a transition matrix.
+entry >= 1 - delta) and the closed-form minimum-volume enclosing
+interval for two classes.
 
 RNG streams: 401 ray sampling, 402 rotation search.
 """
@@ -34,6 +34,8 @@ _WITNESS_STREAM = 402
 DEFAULT_RAY_COUNT = 512
 DEFAULT_COVERAGE_TOL = 1e-8
 DEFAULT_WITNESS_TOL = 1e-9
+DEFAULT_WITNESS_TRIALS = 10_000
+DEFAULT_ANCHOR_DELTA = 0.05
 # A candidate within this max-abs distance of a signed permutation is the
 # trivial solution, not a witness.
 PERMUTATION_BALL = 1e-6
@@ -197,7 +199,7 @@ def _min_entry(q: np.ndarray, basis: np.ndarray):
 
 def search_rotation_witness(
     h,
-    trials: int = 10_000,
+    trials: int = DEFAULT_WITNESS_TRIALS,
     seed: int = 0,
     tol: float = DEFAULT_WITNESS_TOL,
 ) -> np.ndarray | None:
@@ -260,7 +262,7 @@ def search_rotation_witness(
 
 
 # ---------------------------------------------------------------------------
-# Anchor presence, interval oracle, simplex volume
+# Anchor presence and interval oracle
 
 
 def anchor_presence(h, delta: float) -> tuple[np.ndarray, bool]:
@@ -291,27 +293,6 @@ def min_volume_interval(noisy_p1) -> np.ndarray:
             f"got max={hi}, min={lo}"
         )
     return np.array([[hi, lo], [1.0 - hi, 1.0 - lo]])
-
-
-def simplex_volume(t) -> tuple[float, float]:
-    """Determinant proxy and the true (C-1)-volume of conv(columns of t).
-
-    The true volume is sqrt(det(M^T M)) / (C-1)! with M the edge matrix
-    T[:, 1:] - T[:, 0:1]. For column-stochastic t the two agree up to the
-    constant factor sqrt(C)/(C-1)!."""
-    t = linalg.as_matrix(t, "transition")
-    if t.shape[0] != t.shape[1] or t.shape[0] < 2:
-        raise ValueError("transition must be square, at least 2x2")
-    c = t.shape[0]
-    sign, logabs = linalg.signed_logdet(t)
-    proxy = 0.0 if sign == 0.0 else sign * math.exp(logabs)
-    m = t[:, 1:] - t[:, :1]
-    gsign, glog = linalg.signed_logdet(m.T @ m)
-    if gsign <= 0.0:  # degenerate (or float-negative at degeneracy)
-        true_vol = 0.0
-    else:
-        true_vol = math.exp(0.5 * glog) / math.factorial(c - 1)
-    return proxy, true_vol
 
 
 # ---------------------------------------------------------------------------
@@ -366,11 +347,11 @@ class ScatterReport:
 def analyze_scattering(
     h,
     rays: int = DEFAULT_RAY_COUNT,
-    trials: int = 10_000,
+    trials: int = DEFAULT_WITNESS_TRIALS,
     seed: int = 0,
     coverage_tol: float = DEFAULT_COVERAGE_TOL,
     witness_tol: float = DEFAULT_WITNESS_TOL,
-    anchor_delta: float = 0.05,
+    anchor_delta: float = DEFAULT_ANCHOR_DELTA,
 ) -> ScatterReport:
     """Run all three checks on one posterior matrix, reducing H once."""
     h = as_posterior_matrix(h)

@@ -75,13 +75,6 @@ def inverse_transpose(a) -> np.ndarray:
     return inv.T
 
 
-def logdet_and_inverse_transpose(a) -> tuple[float, float, np.ndarray]:
-    """(sign, log|det a|, inverse of the transpose): the values
-    `signed_logdet` and `inverse_transpose` return. Raises
-    SingularMatrixError where inverse_transpose does."""
-    return (*signed_logdet(a), inverse_transpose(a))
-
-
 def _passive_lstsq(a: np.ndarray, b: np.ndarray, passive: np.ndarray):
     """Fit each row of the (k, m) b by the columns a[:, passive[i]].
 

@@ -14,8 +14,9 @@ layer feeds the head:
                       same shapes, but every class keeps SMOOTHING / C, so a
                       label is never assigned probability zero.
 
-`backward_batch` propagates d(loss)/d(probability) through the head's
-Jacobian and the layers, returning exact gradients for every parameter.
+`_forward_cached` keeps each layer's input, and `_backward_cached`
+propagates d(loss)/d(probability) from it through the head's Jacobian and
+the layers, returning exact gradients for every parameter.
 """
 
 from __future__ import annotations
@@ -43,14 +44,6 @@ class ClassifierParams:
     def __post_init__(self):
         if self.head not in HEADS:
             raise ValueError(f"unknown head {self.head!r}; expected one of {HEADS}")
-
-    @property
-    def in_dim(self) -> int:
-        return self.weights[0].shape[1]
-
-    @property
-    def classes(self) -> int:
-        return self.weights[-1].shape[0]
 
     def copy(self) -> "ClassifierParams":
         return ClassifierParams(
@@ -137,19 +130,6 @@ def forward_batch(params: ClassifierParams, x: np.ndarray) -> np.ndarray:
     x = linalg.as_matrix(x, "inputs")
     probs, _ = _forward_cached(params, x)
     return probs
-
-
-def backward_batch(
-    params: ClassifierParams, x: np.ndarray, grad_probs: np.ndarray
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Gradients of sum_b <grad_probs[b], probs[b]> w.r.t. every parameter."""
-    x = linalg.as_matrix(x, "inputs")
-    probs, acts = _forward_cached(params, x)
-    if grad_probs.shape != probs.shape:
-        raise ValueError(
-            f"grad_probs shape {grad_probs.shape} != probs shape {probs.shape}"
-        )
-    return _backward_cached(params, acts, probs, grad_probs)
 
 
 def _backward_cached(

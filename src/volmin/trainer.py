@@ -107,42 +107,35 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Per-parameter slot state for one optimizer over a list of arrays."""
+    """Slot state for one optimizer over one array."""
 
-    def __init__(self, spec: OptimizerSpec, params: list[np.ndarray]):
+    def __init__(self, spec: OptimizerSpec, param: np.ndarray):
         if spec.kind not in ("sgd", "adam"):
             raise ValueError(f"unknown optimizer kind {spec.kind!r}")
         self.spec = spec
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.m = np.zeros_like(param)
+        self.v = np.zeros_like(param)
 
-    def step(
-        self,
-        params: list[np.ndarray],
-        grads: list[np.ndarray],
-        lr_scale: float = 1.0,
-        apply_weight_decay: bool = True,
-    ) -> None:
+    def step(self, w: np.ndarray, g: np.ndarray, lr_scale: float = 1.0) -> None:
         """In-place update. SGD: v <- mu v + g + wd w; w <- w - lr v."""
         spec = self.spec
         lr = spec.lr * lr_scale
         self.t += 1
-        for i, (w, g) in enumerate(zip(params, grads)):
-            if apply_weight_decay and spec.weight_decay:
-                g = g + spec.weight_decay * w
-            if spec.kind == "sgd":
-                self.m[i] *= spec.momentum
-                self.m[i] += g
-                w -= lr * self.m[i]
-            else:
-                self.m[i] *= spec.beta1
-                self.m[i] += (1.0 - spec.beta1) * g
-                self.v[i] *= spec.beta2
-                self.v[i] += (1.0 - spec.beta2) * g * g
-                mhat = self.m[i] / (1.0 - spec.beta1**self.t)
-                vhat = self.v[i] / (1.0 - spec.beta2**self.t)
-                w -= lr * mhat / (np.sqrt(vhat) + spec.eps)
+        if spec.weight_decay:
+            g = g + spec.weight_decay * w
+        if spec.kind == "sgd":
+            self.m *= spec.momentum
+            self.m += g
+            w -= lr * self.m
+        else:
+            self.m *= spec.beta1
+            self.m += (1.0 - spec.beta1) * g
+            self.v *= spec.beta2
+            self.v += (1.0 - spec.beta2) * g * g
+            mhat = self.m / (1.0 - spec.beta1**self.t)
+            vhat = self.v / (1.0 - spec.beta2**self.t)
+            w -= lr * mhat / (np.sqrt(vhat) + spec.eps)
 
 
 def lr_scale_at(schedule: tuple[tuple[int, float], ...], epoch: int) -> float:
@@ -228,12 +221,7 @@ def loss_and_grads(
         grad_t = grad_q.T @ probs
 
     loss = fidelity
-    if tt is not None and lam != 0.0:
-        try:
-            sign, logabs, inv_t = linalg.logdet_and_inverse_transpose(t_hat)
-        except linalg.SingularMatrixError:
-            sign, logabs = 0.0, float("-inf")
-    elif fixed_logdet is not None:
+    if fixed_logdet is not None:
         sign, logabs = fixed_logdet
     else:
         sign, logabs = linalg.signed_logdet(t_hat)
@@ -245,7 +233,7 @@ def loss_and_grads(
             )
         loss = fidelity + lam * logabs
         if tt is not None:
-            grad_t = grad_t + lam * inv_t
+            grad_t = grad_t + lam * linalg.inverse_transpose(t_hat)
 
     grad_w = (
         transition._backward_cached(t_hat, gates, sums, grad_t, natural)
@@ -279,12 +267,6 @@ def confusion_start(
 # Metrics
 
 
-def composed_probs(
-    params: model.ClassifierParams, t_hat: np.ndarray, x: np.ndarray
-) -> np.ndarray:
-    return model.forward_batch(params, x) @ t_hat.T
-
-
 def accuracy(params: model.ClassifierParams, x: np.ndarray, y: np.ndarray) -> float:
     """Share of argmax classifier predictions matching `y`."""
     if x.shape[0] == 0:
@@ -296,7 +278,7 @@ def accuracy(params: model.ClassifierParams, x: np.ndarray, y: np.ndarray) -> fl
 def _val_metric(metric, params, t_hat, x, y, soft_targets) -> float:
     if x.shape[0] == 0:
         return float("nan")
-    q = composed_probs(params, t_hat, x)
+    q = model.forward_batch(params, x) @ t_hat.T
     target = soft_targets.argmax(axis=1) if soft_targets is not None else y
     if metric == "noisy-val-accuracy":
         return float((q.argmax(axis=1) == target).mean())
@@ -442,38 +424,33 @@ def train(
     frozen_logdet = linalg.signed_logdet(frozen)
 
     head_opt = config.head_opt or config.classifier_opt
-    opt_theta = OptimizerState(config.classifier_opt if warmup else head_opt, [theta])
-    opt_w = (
-        None if tt is None or warmup
-        else OptimizerState(config.transition_opt, [tt.weights])
-    )
+    # Weight decay never touches the transition weights.
+    transition_opt = replace(config.transition_opt, weight_decay=0.0)
+    opt_theta = OptimizerState(config.classifier_opt if warmup else head_opt, theta)
+    opt_w = None if tt is None or warmup else OptimizerState(transition_opt, tt.weights)
 
     history = TrainHistory()
     best_metric = -np.inf
-    best_params = params.copy()
-    best_weights = None if tt is None else tt.weights.copy()
+    best_params = best_weights = None
     best_epoch = 0
     aborted = None
-
-    # Last-good fallback for aborts that happen before any epoch was scored.
-    snap_params = params.copy()
-    snap_weights = None if tt is None else tt.weights.copy()
 
     for epoch in range(1, config.epochs + 1):
         if warmup and epoch == warmup + 1:
             params.head = config.head
             if config.head_opt is not None:
-                opt_theta = OptimizerState(head_opt, [theta])
+                opt_theta = OptimizerState(head_opt, theta)
             if tt is not None:
                 targets = (
                     soft_targets if soft_targets is not None
                     else np.eye(classes)[y_train]
                 )
                 tt = confusion_start(params, x_train, targets, frozen)
-                opt_w = OptimizerState(config.transition_opt, [tt.weights])
+                opt_w = OptimizerState(transition_opt, tt.weights)
         stepped = None if epoch <= warmup else tt
-        snap_params = params.copy()
-        snap_weights = None if tt is None else tt.weights.copy()
+        # The start of the epoch, restored if it aborts with no epoch selected.
+        snap_theta = theta.copy()
+        snap_weights = None if stepped is None else tt.weights.copy()
         scale = lr_scale_at(config.lr_schedule, epoch)
         order = np.random.default_rng(
             [config.seed, _SHUFFLE_STREAM, epoch]
@@ -503,14 +480,13 @@ def train(
                     )
                 fid_sum += stats.fidelity * len(xb)
                 sign_events += stats.det_sign_events
-                opt_theta.step([theta], [grad_theta], scale)
+                opt_theta.step(theta, grad_theta, scale)
                 if stepped is not None:
-                    # Weight decay never touches the transition weights.
-                    opt_w.step([tt.weights], [grad_w], scale, apply_weight_decay=False)
-                if stepped is not None and not np.isfinite(tt.weights).all():
-                    raise FloatingPointError(
-                        f"non-finite transition weights at epoch {epoch}"
-                    )
+                    opt_w.step(tt.weights, grad_w, scale)
+                    if not np.isfinite(tt.weights).all():
+                        raise FloatingPointError(
+                            f"non-finite transition weights at epoch {epoch}"
+                        )
                 if not np.isfinite(theta[:weight_count]).all():
                     raise FloatingPointError(
                         f"non-finite classifier weights at epoch {epoch}"
@@ -543,10 +519,11 @@ def train(
         # an abort): fall back to the last-good state -- the start of the
         # aborted epoch, or the final state of a clean run.
         if aborted is not None:
-            best_params, best_weights = snap_params, snap_weights
-        else:
-            best_params = params.copy()
-            best_weights = None if tt is None else tt.weights.copy()
+            theta[:] = snap_theta
+            if snap_weights is not None:
+                tt.weights[:] = snap_weights
+        best_params = params.copy()
+        best_weights = None if tt is None else tt.weights.copy()
         best_epoch = len(history.rows)
 
     history.aborted = aborted

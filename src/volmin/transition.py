@@ -1,4 +1,4 @@
-"""Trainable transition matrix: construction, realization, volume, backward.
+"""Trainable transition matrix: construction, realization, backward.
 
 The matrix is parameterized so that any finite weights realize a valid
 transition: off-diagonal gates are sigmoids of free weights, the diagonal
@@ -27,13 +27,6 @@ class TrainableTransition:
     """Free weights of the transition parameterization (C x C, diagonal unused)."""
 
     weights: np.ndarray
-
-    @property
-    def classes(self) -> int:
-        return self.weights.shape[0]
-
-    def copy(self) -> "TrainableTransition":
-        return TrainableTransition(self.weights.copy())
 
 
 def default_init_weight(classes: int) -> float:
@@ -95,11 +88,6 @@ def _forward_cached(
 def realize(tt: TrainableTransition) -> np.ndarray:
     """Realized transition matrix: gates normalized per column."""
     return _forward_cached(tt)[0]
-
-
-def volume(tt: TrainableTransition) -> tuple[float, float]:
-    """(sign, log|det|) of the realized matrix."""
-    return linalg.signed_logdet(realize(tt))
 
 
 def backward(

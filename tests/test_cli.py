@@ -270,6 +270,27 @@ class TestExitCodes:
             assert message in err
             assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "command, lines, message",
+        [
+            ("check-scattered", ["geometry.anchor_delta = 2"],
+             "geometry.anchor_delta must be in [0, 1], got 2.0"),
+            ("sweep", ["data.generator = gaussian", "data.d = -1"],
+             "data.d must be >= 0, got -1"),
+        ],
+        ids=["anchor-delta-above-one", "gaussian-negative-d"],
+    )
+    def test_out_of_range_value(self, tmp_path, capsys, command, lines, message):
+        # Both used to pass the config and end in a traceback from the stage
+        # that uses the key, check-scattered only after its whole search.
+        keys = {line.split(" = ")[0] for line in lines}
+        kept = [line for line in TINY.splitlines() if line.split(" = ")[0] not in keys]
+        cfg = write_cfg(tmp_path, "\n".join(kept + lines) + "\n")
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert "Traceback" not in err
+
     def test_empty_split(self, tmp_path, capsys, monkeypatch):
         # Four samples leave the validation and test splits empty: each gets
         # round(0.1 * n) = 0 samples.

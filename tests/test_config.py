@@ -1,9 +1,11 @@
 """Config parsing tests: protocol-constant defaults, the line format,
 line-numbered rejections, cross-field validation, and the typed views."""
 
+import inspect
+
 import pytest
 
-from volmin import config, trainer
+from volmin import config, geometry, trainer
 
 
 class TestDefaults:
@@ -43,6 +45,11 @@ class TestDefaults:
 
     def test_empty_document_equals_defaults(self):
         assert config.parse_config("").values == config.default_config().values
+
+    def test_geometry_defaults_are_analyze_scattering_defaults(self):
+        params = inspect.signature(geometry.analyze_scattering).parameters
+        g = config.default_config().values["geometry"]
+        assert g == {key: params[key].default for key in g}
 
 
 class TestParsing:
@@ -188,14 +195,16 @@ class TestCrossValidation:
             ("train.lr_schedule = 1:0", r"train\.lr_schedule divisors must be positive"),
             ("geometry.rays = 0", r"geometry\.rays and geometry\.trials must be positive"),
             ("geometry.trials = 0", r"geometry\.rays and geometry\.trials must be positive"),
+            ("geometry.anchor_delta = 2", r"geometry\.anchor_delta must be in \[0, 1\], got 2\.0$"),
+            ("data.generator = gaussian\ndata.d = -1", r"data\.d must be >= 0, got -1$"),
         ],
         ids=["hidden-zero", "hidden-three-layers", "schedule-zero-divisor",
-             "rays-zero", "trials-zero"],
+             "rays-zero", "trials-zero", "anchor-delta-above-one", "gaussian-negative-d"],
     )
     def test_ranges_the_pipeline_enforces(self, line, message):
         # Each of these used to pass the config and crash inside the stage
         # that uses the key (model init, the learning-rate schedule, the
-        # scattering checks).
+        # scattering checks, the gaussian generator).
         with pytest.raises(config.ConfigError, match=message):
             config.parse_config(line + "\n")
 

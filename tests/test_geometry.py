@@ -246,26 +246,6 @@ class TestMinVolumeInterval:
             np.testing.assert_allclose(got, want, atol=1e-12)
 
 
-class TestSimplexVolume:
-    def test_identity_three_class(self):
-        proxy, vol = geometry.simplex_volume(np.eye(3))
-        assert proxy == 1.0
-        np.testing.assert_allclose(vol, math.sqrt(3) / 2, atol=1e-12)
-
-    def test_degenerate_columns_give_zero(self):
-        t = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert geometry.simplex_volume(t) == (0.0, 0.0)
-
-    def test_proxy_propto_volume_for_column_stochastic(self):
-        rng = np.random.default_rng(17)
-        for c in (2, 3, 4, 5):
-            factor = math.sqrt(c) / math.factorial(c - 1)
-            for _ in range(20):
-                t = rng.dirichlet([1.5] * c, size=c).T
-                proxy, vol = geometry.simplex_volume(t)
-                np.testing.assert_allclose(abs(proxy) * factor, vol, rtol=1e-8)
-
-
 class TestScatterReport:
     def test_report_fields_consistent(self):
         h = edge_mixture_columns(0.9)

@@ -82,8 +82,6 @@ class TestInverseTranspose:
     def test_singular_raises(self):
         with pytest.raises(linalg.SingularMatrixError):
             linalg.inverse_transpose([[1.0, 2.0], [2.0, 4.0]])
-        with pytest.raises(linalg.SingularMatrixError):
-            linalg.logdet_and_inverse_transpose([[1.0, 2.0], [2.0, 4.0]])
 
     @pytest.mark.parametrize("n", [2, 3, 10])
     @pytest.mark.parametrize(
@@ -123,17 +121,6 @@ class TestInverseTranspose:
         assert sign == 1.0 and math.isfinite(logabs)
         with pytest.raises(linalg.SingularMatrixError, match="not finite"):
             linalg.inverse_transpose(a)
-        with pytest.raises(linalg.SingularMatrixError):
-            linalg.logdet_and_inverse_transpose(a)
-
-    def test_one_factorization_matches_separate_calls(self):
-        rng = np.random.default_rng(14)
-        for _ in range(25):
-            n = int(rng.integers(1, 8))
-            a = rng.standard_normal((n, n))
-            sign, logabs, it = linalg.logdet_and_inverse_transpose(a)
-            assert (sign, logabs) == linalg.signed_logdet(a)
-            assert np.array_equal(it, linalg.inverse_transpose(a))
 
 
 class TestNnls:

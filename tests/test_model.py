@@ -134,7 +134,8 @@ class TestBackward:
         y = rng.integers(0, 4, size=6)
         grad_probs = np.zeros_like(probs)
         grad_probs[np.arange(6), y] = -1.0 / probs[np.arange(6), y]
-        grad_ws, grad_bs = model.backward_batch(params, x, grad_probs)
+        _, acts = model._forward_cached(params, x)
+        grad_ws, grad_bs = model._backward_cached(params, acts, probs, grad_probs)
         # Oracle: dL/dlogit = probs - onehot, dL/dW = dlogit^T x, summed.
         dz = probs.copy()
         dz[np.arange(6), y] -= 1.0
@@ -157,7 +158,8 @@ class TestBackward:
                 assert sparsemax_margin(params, x) > 1e-3
                 assert (model.forward_batch(params, x) <= model.SMOOTHING / 3).any()
 
-            grad_ws, grad_bs = model.backward_batch(params, x, probe)
+            probs, acts = model._forward_cached(params, x)
+            grad_ws, grad_bs = model._backward_cached(params, acts, probs, probe)
 
             for l in range(len(params.weights)):
                 def f_w(w, l=l, params=params, x=x, probe=probe):

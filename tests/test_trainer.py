@@ -260,35 +260,30 @@ class TestFusedStep:
 class TestOptimizers:
     def test_sgd_plain_step(self):
         w = np.array([1.0])
-        state = trainer.OptimizerState(trainer.sgd(0.1), [w])
-        state.step([w], [np.array([2.0])])
+        state = trainer.OptimizerState(trainer.sgd(0.1), w)
+        state.step(w, np.array([2.0]))
         np.testing.assert_allclose(w, [0.8], atol=1e-15)
 
     def test_sgd_momentum_accumulates(self):
         # Two unit gradients at momentum 0.9: displacements 1 then 1.9.
         w = np.array([0.0])
-        state = trainer.OptimizerState(trainer.sgd(1.0, momentum=0.9), [w])
-        state.step([w], [np.array([1.0])])
+        state = trainer.OptimizerState(trainer.sgd(1.0, momentum=0.9), w)
+        state.step(w, np.array([1.0]))
         np.testing.assert_allclose(w, [-1.0], atol=1e-15)
-        state.step([w], [np.array([1.0])])
+        state.step(w, np.array([1.0]))
         np.testing.assert_allclose(w, [-2.9], atol=1e-15)
 
     def test_sgd_weight_decay(self):
         w = np.array([2.0])
-        state = trainer.OptimizerState(trainer.sgd(0.1, weight_decay=0.5), [w])
-        state.step([w], [np.array([0.0])])
+        state = trainer.OptimizerState(trainer.sgd(0.1, weight_decay=0.5), w)
+        state.step(w, np.array([0.0]))
         np.testing.assert_allclose(w, [1.9], atol=1e-15)
-        # ... and the decay can be suppressed per call.
-        w2 = np.array([2.0])
-        state2 = trainer.OptimizerState(trainer.sgd(0.1, weight_decay=0.5), [w2])
-        state2.step([w2], [np.array([0.0])], apply_weight_decay=False)
-        np.testing.assert_allclose(w2, [2.0], atol=1e-15)
 
     def test_adam_first_step_magnitude_is_lr(self):
         for g in (3.0, -0.02, 17.0):
             w = np.array([0.0])
-            state = trainer.OptimizerState(trainer.adam(1e-3), [w])
-            state.step([w], [np.array([g])])
+            state = trainer.OptimizerState(trainer.adam(1e-3), w)
+            state.step(w, np.array([g]))
             np.testing.assert_allclose(abs(w[0]), 1e-3, rtol=1e-5)
             assert math.copysign(1, w[0]) == -math.copysign(1, g)
 
@@ -297,11 +292,11 @@ class TestOptimizers:
         rng = np.random.default_rng(73)
         grads = rng.standard_normal(10)
         w = np.array([0.5])
-        state = trainer.OptimizerState(trainer.adam(0.01), [w])
+        state = trainer.OptimizerState(trainer.adam(0.01), w)
         m = v = 0.0
         ref = 0.5
         for t, g in enumerate(grads, start=1):
-            state.step([w], [np.array([g])])
+            state.step(w, np.array([g]))
             m = 0.9 * m + 0.1 * g
             v = 0.999 * v + 0.001 * g * g
             mhat = m / (1 - 0.9**t)
@@ -319,9 +314,7 @@ class TestOptimizers:
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            trainer.OptimizerState(
-                trainer.OptimizerSpec("rmsprop", 0.1), [np.zeros(1)]
-            )
+            trainer.OptimizerState(trainer.OptimizerSpec("rmsprop", 0.1), np.zeros(1))
 
 
 class TestTrainLoop:
@@ -668,8 +661,8 @@ def reference_step(params, tt, x, y, lam, fixed_transition, soft_targets, fixed_
     grad_probs = grad_q @ t_hat
     grad_t = grad_q.T @ probs
     if tt is not None and lam != 0.0:
-        sign, _, inv_t = linalg.logdet_and_inverse_transpose(t_hat)
-        grad_t = grad_t + lam * inv_t
+        sign, _ = linalg.signed_logdet(t_hat)
+        grad_t = grad_t + lam * linalg.inverse_transpose(t_hat)
     elif fixed_logdet is not None:
         sign, _ = fixed_logdet
     else:
@@ -863,3 +856,56 @@ class TestStepMatchesReference:
             assert same_bits(transition._sigmoid(w), reference_sigmoid(w))
             gates = transition._gates(w)
             assert same_bits(transition._column_sums(gates), reference_column_sums(gates))
+
+
+class TestAbortFallback:
+    """An aborted run with no selected epoch returns the classifier and the
+    transition weights its aborted epoch started from, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "abort_epoch", [2, trainer.WARMUP_EPOCHS + 1], ids=["warm-up", "first-joint-epoch"]
+    )
+    def test_returns_start_of_aborted_epoch(self, monkeypatch, abort_epoch):
+        ds = toy_dataset(200, classes=3, seed=93, noisy=True)
+        train_set, val_set = data.split(ds, 0.2, seed=93)
+        cfg = trainer.TrainConfig(
+            epochs=trainer.WARMUP_EPOCHS + 3, seed=93, hidden=(8,), batch_size=32
+        )
+        steps = -(-len(train_set.x) // cfg.batch_size)
+        first = (abort_epoch - 1) * steps
+        real = trainer.loss_and_grads
+        calls, seen = [], {}
+
+        def wrapped(params, tt, *args, **kwargs):
+            # Record the state at the aborted epoch's first and third steps,
+            # and fail the third.
+            call = len(calls)
+            calls.append(call)
+            if call in (first, first + 2):
+                seen[call] = (
+                    [a.copy() for a in params.weights + params.biases],
+                    None if tt is None else tt.weights.copy(),
+                )
+            out = real(params, tt, *args, **kwargs)
+            if call == first + 2:
+                out[0].loss = float("nan")
+            return out
+
+        monkeypatch.setattr(trainer, "loss_and_grads", wrapped)
+        res = trainer.train(train_set, val_set, cfg)
+
+        assert res.aborted == f"non-finite loss at epoch {abort_epoch}, batch 2"
+        assert res.best_epoch == abort_epoch - 1
+        start_params, start_weights = seen[first]
+        moved_params, moved_weights = seen[first + 2]
+        got = res.params.weights + res.params.biases
+        assert all(same_bits(a, b) for a, b in zip(got, start_params))
+        assert not all(same_bits(a, b) for a, b in zip(got, moved_params))
+        if abort_epoch <= trainer.WARMUP_EPOCHS:
+            # The warm-up steps the classifier alone; the transition keeps
+            # its initial weights.
+            assert start_weights is None
+            assert same_bits(res.transition_weights, transition.init_weights(3).weights)
+        else:
+            assert same_bits(res.transition_weights, start_weights)
+            assert not same_bits(res.transition_weights, moved_weights)
