@@ -112,7 +112,7 @@ def _generate(cfg: config.ExperimentConfig, seed: int, out_dir: Path) -> data.Da
         ds = data.gen_gaussian_mixture(classes, dim, means, d["n"], seed=seed)
     else:  # csv
         with _reading("data.path", d["path"]):
-            ds = data.read_csv(d["path"], classes=classes)
+            ds = data.read_csv(d["path"], classes)
     if d["remove_anchor_fraction"] > 0.0:
         if ds.clean_posterior is None:
             raise config.ConfigError(
@@ -260,13 +260,13 @@ def _posterior_linf(params, test_set) -> float | None:
 # commands; each returns the list of input files it consumed (for the manifest)
 
 
-def _read_required(path: Path, producer: str) -> data.Dataset:
+def _read_required(cfg, path: Path, producer: str) -> data.Dataset:
     if not path.exists():
         raise ArtifactError(
             f"missing upstream artifact {path}; run `volmin {producer}` with the "
             f"same config first"
         )
-    return data.read_csv(path)
+    return data.read_csv(path, cfg.get("data", "classes"))
 
 
 def _noisy_splits(cfg, out_dir: Path):
@@ -274,7 +274,7 @@ def _noisy_splits(cfg, out_dir: Path):
     transition when corrupt wrote one, and the files read."""
     src = out_dir / "dataset_noisy.csv"
     train_set, val_set, _ = _splits(
-        cfg, _read_required(src, "corrupt"), cfg.seeds[0], with_test=False
+        cfg, _read_required(cfg, src, "corrupt"), cfg.seeds[0], with_test=False
     )
     t_path = out_dir / "true_transition.txt"
     if not t_path.exists():
@@ -302,30 +302,22 @@ def cmd_generate(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
 
 def cmd_corrupt(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
     src = out_dir / "dataset.csv"
-    _corrupt(cfg, cfg.seeds[0], out_dir, _read_required(src, "generate"))
+    _corrupt(cfg, cfg.seeds[0], out_dir, _read_required(cfg, src, "generate"))
     return [src, *_noise_inputs(cfg)]
 
 
 def cmd_check_scattered(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
-    seed = cfg.seeds[0]
     src = out_dir / "dataset_noisy.csv"
     if not src.exists():
         src = out_dir / "dataset.csv"
-    ds = _read_required(src, "generate")
+    ds = _read_required(cfg, src, "generate")
     if ds.clean_posterior is None:
         raise ArtifactError(
             f"{src} has no sibling posterior file; the scattering checks need "
             f"the clean posteriors"
         )
-    g = cfg.values["geometry"]
     report = geometry.analyze_scattering(
-        ds.clean_posterior.T,
-        rays=g["rays"],
-        trials=g["trials"],
-        seed=seed,
-        coverage_tol=g["coverage_tol"],
-        witness_tol=g["witness_tol"],
-        anchor_delta=g["anchor_delta"],
+        ds.clean_posterior.T, seed=cfg.seeds[0], **cfg.values["geometry"]
     )
     fileio.atomic_write_text(out_dir / "scatter_report.txt", report.to_text())
     if report.rotation_witness is not None:

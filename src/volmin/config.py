@@ -21,6 +21,7 @@ valid config.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -41,7 +42,10 @@ def _int(text: str) -> int:
 
 
 def _float(text: str) -> float:
-    return float(text)
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
 
 
 def _bool(text: str) -> bool:
@@ -93,7 +97,7 @@ def _schedule(text: str) -> tuple[tuple[int, float], ...]:
         epoch_text, _, div_text = part.strip().partition(":")
         if not div_text:
             raise ValueError(f"schedule entry {part.strip()!r} is not epoch:divisor")
-        out.append((int(epoch_text, 10), float(div_text)))
+        out.append((int(epoch_text, 10), _float(div_text)))
     return tuple(out)
 
 
@@ -156,11 +160,16 @@ SCHEMA = {
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Parsed, schema-complete config plus the raw text it came from."""
+    """Parsed, schema-complete config plus the raw text it came from. The
+    cross-key constraints are checked on construction, so values overridden
+    after parsing pass the same checks."""
 
     values: dict
     raw: str = ""
     source: str = "<text>"
+
+    def __post_init__(self):
+        _cross_validate(self.values, self.source)
 
     def get(self, section: str, key: str):
         return self.values[section][key]
@@ -263,6 +272,11 @@ def _cross_validate(values: dict, source: str) -> None:
         )
     if not values["trials"]["seeds"]:
         raise ConfigError(f"{source}: trials.seeds must list at least one seed")
+    if min(values["trials"]["seeds"]) < 0:
+        raise ConfigError(
+            f"{source}: trials.seeds must be non-negative, got "
+            f"{min(values['trials']['seeds'])}"
+        )
     if len(set(values["trials"]["seeds"])) != len(values["trials"]["seeds"]):
         raise ConfigError(f"{source}: trials.seeds contains a repeated seed")
 
@@ -302,7 +316,6 @@ def parse_config(text: str, source: str = "<text>") -> ExperimentConfig:
     for section, keys in SCHEMA.items():
         for key, (_, default) in keys.items():
             values[section].setdefault(key, default)
-    _cross_validate(values, source)
     return ExperimentConfig(values=values, raw=text, source=source)
 
 

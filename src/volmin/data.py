@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 
 import numpy as np
 
+from . import linalg
 from .fileio import atomic_write_text
 
 _GEN_STREAM = 201
@@ -77,6 +77,11 @@ class Dataset:
             self.clean_posterior = p
 
     @property
+    def labels(self) -> np.ndarray:
+        """The labels a model trains on: the noisy ones when present."""
+        return self.y_clean if self.y_noisy is None else self.y_noisy
+
+    @property
     def n(self) -> int:
         return self.x.shape[0]
 
@@ -108,8 +113,10 @@ class Dataset:
         return out
 
 
-def _labels_from_posterior(posterior: np.ndarray, rng) -> np.ndarray:
-    """One label per row, drawn from that row's distribution."""
+def sample_labels(posterior: np.ndarray, rng) -> np.ndarray:
+    """One label per row, drawn from that row's distribution: one uniform
+    draw per row, in row order, read off the row's CDF (inverse-CDF
+    sampling)."""
     cdf = np.cumsum(posterior, axis=1)
     u = rng.uniform(size=posterior.shape[0])
     idx = (u[:, None] >= cdf).sum(axis=1)
@@ -168,7 +175,7 @@ def gen_simplex_feature(
             posterior[rows, i] = q[rows]
             posterior[rows, j] = 1.0 - q[rows]
     posterior = _apply_cap(posterior, cap, classes)
-    y = _labels_from_posterior(posterior, rng)
+    y = sample_labels(posterior, rng)
     return Dataset(
         x=posterior.copy(),
         y_clean=y,
@@ -212,7 +219,7 @@ def gen_gaussian_mixture(
     comp = rng.choice(classes, size=n, p=priors)
     x = means[comp] + rng.standard_normal((n, d)) @ chol.T
     posterior = gaussian_mixture_posterior(x, means, covariance, priors)
-    y = _labels_from_posterior(posterior, rng)
+    y = sample_labels(posterior, rng)
     return Dataset(
         x=x,
         y_clean=y,
@@ -268,9 +275,9 @@ def remove_anchor_candidates(
 
 
 def balanced_undersample(ds: Dataset, seed: int = 0) -> Dataset:
-    """Equalize per-class counts of the training labels (noisy when present)
-    by keeping a seeded random subset of each class, original order kept."""
-    y = ds.y_noisy if ds.y_noisy is not None else ds.y_clean
+    """Equalize per-class counts of `ds.labels` by keeping a seeded random
+    subset of each class, original order kept."""
+    y = ds.labels
     counts = np.bincount(y, minlength=ds.classes)
     if counts.min() == 0:
         raise ValueError(f"cannot balance: class {int(counts.argmin())} has no samples")
@@ -311,11 +318,6 @@ def _posterior_path(path) -> Path:
     return p.with_name(p.stem + ".posterior.csv")
 
 
-def _float_rows(a: np.ndarray) -> list[str]:
-    """Each row of `a` as comma-joined reprs (shortest round-trip text)."""
-    return [",".join(map(repr, row)) for row in a.tolist()]
-
-
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     # Bit patterns, not values: -0.0 == 0.0 but their reprs differ.
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -325,12 +327,12 @@ def _csv_rows(ds: Dataset) -> tuple[list[str], list[str] | None]:
     """`ds.csv_rows`, formatted on first use. When the posterior is the
     feature matrix (simplex data), its row text is x's."""
     if ds.csv_rows is None:
-        x_rows = _float_rows(ds.x)
+        x_rows = linalg.format_rows(ds.x)
         p = ds.clean_posterior
         if p is None:
             p_rows = None
         else:
-            p_rows = x_rows if _same_bits(p, ds.x) else _float_rows(p)
+            p_rows = x_rows if _same_bits(p, ds.x) else linalg.format_rows(p)
         ds.csv_rows = (x_rows, p_rows)
     return ds.csv_rows
 
@@ -355,16 +357,6 @@ def write_csv(path, ds: Dataset) -> None:
         atomic_write_text(_posterior_path(path), "\n".join(plines) + "\n")
 
 
-def _parse_float(token: str, path, lineno: int) -> float:
-    try:
-        v = float(token)
-    except ValueError:
-        raise CsvError(f"{path}:{lineno}: bad float {token!r}") from None
-    if not math.isfinite(v):
-        raise CsvError(f"{path}:{lineno}: non-finite value {token!r}")
-    return v
-
-
 def _read_lines(path) -> list[str]:
     with open(path, encoding="utf-8") as fh:
         raw = fh.read().splitlines()
@@ -373,46 +365,13 @@ def _read_lines(path) -> list[str]:
     return raw
 
 
-def _parse_lines(raw: list[str], width: int, d: int, path):
-    """Line-by-line parse of the data lines; raises on the first bad one."""
-    xs, labels = [], [[] for _ in range(d, width)]
-    for lineno, line in enumerate(raw[1:], start=2):
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != width:
-            raise CsvError(
-                f"{path}:{lineno}: expected {width} fields, got {len(parts)}"
-            )
-        xs.append([_parse_float(t, path, lineno) for t in parts[:d]])
-        try:
-            for col, t in zip(labels, parts[d:]):
-                col.append(int(t))
-        except ValueError:
-            raise CsvError(f"{path}:{lineno}: bad label") from None
-    return np.array(xs, dtype=np.float64).reshape(len(xs), d), labels
-
-
-def _parse_table(raw: list[str], width: int, d: int, path):
-    """(x, labels): the first `d` fields of every non-blank data line as an
-    (n, d) float array, and each later field as a list of ints.
-
-    The whole table is split and converted in a few C-level passes. A table
-    that fails any check is parsed again line by line, so an error names
-    the same first bad line and token as a line-by-line reader would."""
-    body = [line for line in raw[1:] if line]
-    if body and set(map(str.count, body, repeat(","))) == {width - 1}:
-        tokens = ",".join(body).split(",")
-        try:
-            table = np.fromiter(map(float, tokens), np.float64, len(tokens))
-            labels = [list(map(int, tokens[j::width])) for j in range(d, width)]
-        except ValueError:
-            pass
-        else:
-            x = table.reshape(len(body), width)[:, :d].copy()
-            if np.isfinite(x).all():
-                return x, labels
-    return _parse_lines(raw, width, d, path)
+def _parse_table(raw: list[str], width: int, floats: int, path):
+    """`linalg.parse_rows` over the non-blank data lines after the header."""
+    lines = [(lineno, line) for lineno, line in enumerate(raw[1:], start=2) if line]
+    try:
+        return linalg.parse_rows(lines, path, width, floats)
+    except ValueError as exc:
+        raise CsvError(str(exc)) from None
 
 
 def _x_text(raw: list[str], n_labels: int) -> list[str]:
@@ -420,10 +379,9 @@ def _x_text(raw: list[str], n_labels: int) -> list[str]:
     return [line.rsplit(",", n_labels)[0] for line in raw[1:] if line]
 
 
-def read_csv(path, classes: int | None = None) -> Dataset:
-    """Load a dataset written by write_csv. The class count comes from the
-    sibling posterior file when present, else from the given `classes`,
-    else from max(label) + 1. Malformed input raises CsvError."""
+def read_csv(path, classes: int) -> Dataset:
+    """Load a dataset of `classes` classes written by write_csv. Malformed
+    input raises CsvError."""
     raw = _read_lines(path)
     header = raw[0].split(",")
     has_noisy = header[-1] == "y_noisy"
@@ -457,11 +415,6 @@ def read_csv(path, classes: int | None = None) -> Dataset:
             posterior, _ = _parse_table(praw, pc, pc, ppath)
         if posterior.shape[0] != x.shape[0]:
             raise CsvError(f"{ppath}: row count does not match {path}")
-        if classes is None:
-            classes = pc
-    if classes is None:
-        top = int(max(y_clean.max(initial=0), y_noisy.max(initial=0) if has_noisy else 0))
-        classes = max(top + 1, 2)
     try:
         return Dataset(
             x=x,

@@ -14,12 +14,16 @@ produces while `signed_logdet` still reports a nonzero sign.
 
 Text format: one row per line, entries as decimal floats separated by
 commas; lines starting with '#' are comments and are ignored. Floats are
-written with `repr`, which round-trips exactly.
+written with `repr`, which round-trips exactly. `format_rows` and
+`parse_rows` are the one codec for every float table the package writes:
+matrix files, checkpoint blocks, and the dataset CSVs of `volmin.data`.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -188,16 +192,60 @@ def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# Matrix text format
+# Float tables: the one codec behind dataset CSVs, posterior siblings,
+# matrix files and checkpoint blocks.
+
+
+def format_rows(a) -> list[str]:
+    """Each row of the 2-D `a` as comma-joined reprs (shortest round-trip text)."""
+    return [",".join(map(repr, row)) for row in a.tolist()]
+
+
+def parse_rows(numbered_lines, source, width: int, floats: int):
+    """(x, ints) from a list of `(lineno, line)` pairs, each line holding
+    `width` comma-separated fields: the first `floats` fields of every line
+    as a finite (n, floats) array, and each later field as a list of ints.
+
+    The whole table is split and converted in a few C-level passes. A table
+    that fails any check is scanned again line by line, so the ValueError
+    names the first bad line and token of `source`."""
+    lines = [line for _, line in numbered_lines]
+    if lines and set(map(str.count, lines, repeat(","))) == {width - 1}:
+        tokens = ",".join(lines).split(",")
+        try:
+            table = np.fromiter(map(float, tokens), np.float64, len(tokens))
+            ints = [list(map(int, tokens[j::width])) for j in range(floats, width)]
+        except ValueError:
+            pass
+        else:
+            x = table.reshape(len(lines), width)[:, :floats].copy()
+            if np.isfinite(x).all():
+                return x, ints
+    xs, ints = [], [[] for _ in range(floats, width)]
+    for lineno, line in numbered_lines:
+        parts = line.split(",")
+        if len(parts) != width:
+            raise ValueError(f"{source}:{lineno}: expected {width} fields, got {len(parts)}")
+        row = []
+        for token in parts[:floats]:
+            try:
+                row.append(float(token))
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: bad float {token!r}") from None
+            if not math.isfinite(row[-1]):
+                raise ValueError(f"{source}:{lineno}: non-finite value {token!r}")
+        xs.append(row)
+        try:
+            for col, token in zip(ints, parts[floats:]):
+                col.append(int(token))
+        except ValueError:
+            raise ValueError(f"{source}:{lineno}: bad label") from None
+    return np.array(xs, dtype=np.float64).reshape(len(xs), floats), ints
 
 
 def format_matrix_text(a, comment: str | None = None) -> str:
-    a = as_matrix(a)
-    lines = []
-    if comment:
-        lines.extend(f"# {ln}" for ln in comment.splitlines())
-    for row in a:
-        lines.append(",".join(repr(float(v)) for v in row))
+    lines = [f"# {ln}" for ln in comment.splitlines()] if comment else []
+    lines += format_rows(as_matrix(a))
     return "\n".join(lines) + "\n"
 
 
@@ -206,30 +254,12 @@ def write_matrix_text(path: str | Path, a, comment: str | None = None) -> None:
 
 
 def parse_matrix_text(text: str, source: str = "<text>") -> np.ndarray:
-    rows: list[list[float]] = []
-    width = None
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split(",")
-        try:
-            row = [float(p) for p in parts]
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: unparseable entry ({exc})") from None
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise ValueError(
-                f"{source}:{lineno}: expected {width} entries, got {len(row)}"
-            )
-        rows.append(row)
+    rows = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
+    rows = [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
     if not rows:
         raise ValueError(f"{source}: no matrix rows found")
-    out = np.array(rows, dtype=np.float64)
-    if not np.isfinite(out).all():
-        raise ValueError(f"{source}: matrix contains non-finite entries")
-    return out
+    width = rows[0][1].count(",") + 1
+    return parse_rows(rows, source, width, width)[0]
 
 
 def read_matrix_text(path: str | Path) -> np.ndarray:
@@ -248,8 +278,7 @@ def format_named_blocks(blocks: list[tuple[str, np.ndarray]]) -> str:
         if any(ch.isspace() for ch in name):
             raise ValueError(f"block name may not contain whitespace: {name!r}")
         chunks.append(f"# block: {name} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            chunks.append(",".join(repr(float(v)) for v in row))
+        chunks += format_rows(arr)
     return "\n".join(chunks) + "\n"
 
 
@@ -259,42 +288,27 @@ def write_named_blocks(path: str | Path, blocks: list[tuple[str, np.ndarray]]) -
 
 def read_named_blocks(path: str | Path) -> list[tuple[str, np.ndarray]]:
     source = str(path)
-    blocks: list[tuple[str, np.ndarray]] = []
-    name = None
-    expect: tuple[int, int] | None = None
-    rows: list[list[float]] = []
-
-    def flush(lineno: int) -> None:
-        nonlocal name, expect, rows
-        if name is None:
-            return
-        arr = np.array(rows, dtype=np.float64) if rows else np.zeros((0, 0))
-        if arr.shape != expect:
-            raise ValueError(
-                f"{source}:{lineno}: block {name} declared {expect}, got {arr.shape}"
-            )
-        blocks.append((name, arr))
-        name, expect, rows = None, None, []
-
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    text = Path(path).read_text(encoding="utf-8")
+    heads = []  # (header lineno, name, rows, cols, that block's numbered rows)
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if line.startswith("# block:"):
-            flush(lineno)
             parts = line[len("# block:") :].split()
-            if len(parts) != 3:
+            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
                 raise ValueError(f"{source}:{lineno}: malformed block header")
-            name = parts[0]
-            expect = (int(parts[1]), int(parts[2]))
-            continue
-        if not line or line.startswith("#"):
-            continue
-        if name is None:
-            raise ValueError(f"{source}:{lineno}: matrix row outside any block")
-        try:
-            rows.append([float(p) for p in line.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{source}:{lineno}: unparseable entry ({exc})") from None
-    flush(-1)
-    if not blocks:
+            heads.append((lineno, parts[0], int(parts[1]), int(parts[2]), []))
+        elif line and not line.startswith("#"):
+            if not heads:
+                raise ValueError(f"{source}:{lineno}: matrix row outside any block")
+            heads[-1][4].append((lineno, line))
+    if not heads:
         raise ValueError(f"{source}: no blocks found")
+    blocks = []
+    for lineno, name, rows, cols, lines in heads:
+        arr = parse_rows(lines, source, cols, cols)[0]
+        if arr.shape[0] != rows:
+            raise ValueError(
+                f"{source}:{lineno}: block {name} declares {rows} rows, got {arr.shape[0]}"
+            )
+        blocks.append((name, arr))
     return blocks

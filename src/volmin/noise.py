@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import linalg
+from . import data, linalg
 
 # Seed-stream tag for corrupt_labels (keeps streams for distinct purposes
 # disjoint across the package).
@@ -107,9 +107,8 @@ def validate_transition(
 def corrupt_labels(labels: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
     """Flip each label with the distribution in its clean class's column.
 
-    One uniform draw per sample, in sample order, from the stream derived
-    from `seed`; the flip is read off the column CDF (inverse-CDF sampling),
-    so the result is deterministic per seed.
+    `data.sample_labels` draws one uniform per sample, in sample order, from
+    the stream derived from `seed`, so the result is deterministic per seed.
     """
     t = linalg.as_matrix(t, "transition matrix")
     labels = np.asarray(labels)
@@ -118,14 +117,7 @@ def corrupt_labels(labels: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
         raise ValueError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     rng = np.random.default_rng([seed, _CORRUPT_STREAM])
-    u = rng.random(labels.shape[0])
-    cdf = np.cumsum(t, axis=0)
-    noisy = np.empty_like(labels)
-    for j in range(c):
-        mask = labels == j
-        if np.any(mask):
-            noisy[mask] = np.searchsorted(cdf[:, j], u[mask], side="right")
-    return np.minimum(noisy, c - 1)
+    return data.sample_labels(t.T[labels], rng)
 
 
 def estimation_error(t_true: np.ndarray, t_est: np.ndarray) -> float:

@@ -335,11 +335,6 @@ class TrainResult:
     aborted: str | None = None
 
 
-def _labels_of(ds) -> np.ndarray:
-    y = ds.y_noisy if ds.y_noisy is not None else ds.y_clean
-    return np.asarray(y)
-
-
 def train(
     train_set,
     val_set,
@@ -382,9 +377,9 @@ def train(
     if config.batch_size < 1 or config.epochs < 0:
         raise ValueError("batch_size must be >= 1 and epochs >= 0")
     x_train = np.asarray(train_set.x, dtype=np.float64)
-    y_train = _labels_of(train_set) if soft_targets is None else None
+    y_train = train_set.labels if soft_targets is None else None
     x_val = np.asarray(val_set.x, dtype=np.float64)
-    y_val = _labels_of(val_set) if val_soft_targets is None else None
+    y_val = val_set.labels if val_soft_targets is None else None
     classes = train_set.classes
     n = x_train.shape[0]
     if n == 0:

@@ -138,6 +138,26 @@ class TestRejections:
         with pytest.raises(config.ConfigError, match="listed twice"):
             config.parse_config("estimators.methods = volmin, volmin\n")
 
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "geometry.coverage_tol = nan",
+            "train.lam = nan",
+            "data.cap = inf",
+            "estimators.alpha = -inf",
+            "train.lr_schedule = 30:10,60:inf",
+        ],
+    )
+    def test_non_finite_float(self, line):
+        # nan passes every range check (each comparison is false), so it
+        # used to reach the stage that reads the key.
+        key = line.split(" = ")[0].replace(".", r"\.")
+        with pytest.raises(
+            config.ConfigError,
+            match=rf"<text>:2: bad value for {key}: expected a finite number, got '-?(nan|inf)'$",
+        ):
+            config.parse_config("data.classes = 3\n" + line + "\n")
+
 
 class TestCrossValidation:
     def test_transition_momentum_range(self):
@@ -215,6 +235,19 @@ class TestCrossValidation:
     def test_seeds_unique(self):
         with pytest.raises(config.ConfigError, match="repeated seed"):
             config.parse_config("trials.seeds = 1, 1\n")
+
+    def test_seeds_non_negative(self):
+        with pytest.raises(
+            config.ConfigError, match=r"^<text>: trials\.seeds must be non-negative, got -1$"
+        ):
+            config.parse_config("trials.seeds = 0, -1\n")
+
+    def test_constructed_config_is_validated(self):
+        # A config built from overridden values passes the same checks.
+        values = config.default_config().values
+        values["trials"]["seeds"] = (-3,)
+        with pytest.raises(config.ConfigError, match="trials.seeds must be non-negative"):
+            config.ExperimentConfig(values=values, source="exp.cfg")
 
 
 class TestTypedViews:

@@ -270,7 +270,7 @@ class TestCsvIO:
         ds = ds.with_noisy((ds.y_clean + 1) % 3)
         path = tmp_path / "dataset.csv"
         data.write_csv(path, ds)
-        back = data.read_csv(path)
+        back = data.read_csv(path, 3)
         assert np.array_equal(back.x, ds.x)
         assert np.array_equal(back.y_clean, ds.y_clean)
         assert np.array_equal(back.y_noisy, ds.y_noisy)
@@ -287,7 +287,7 @@ class TestCsvIO:
     def test_missing_noisy_column_loads_as_absent(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,x1,y_clean\n0.5,0.5,1\n1.0,0.0,0\n")
-        ds = data.read_csv(path)
+        ds = data.read_csv(path, 2)
         assert ds.y_noisy is None
         assert ds.n == 2 and ds.d == 2
 
@@ -295,19 +295,19 @@ class TestCsvIO:
         path = tmp_path / "d.csv"
         path.write_text("x0,y_clean\n0.5,1\nnot-a-number,0\n")
         with pytest.raises(ValueError, match=r":3:"):
-            data.read_csv(path)
+            data.read_csv(path, 2)
 
     def test_wrong_field_count_reports_line_number(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,y_clean\n0.5,1,9\n")
         with pytest.raises(ValueError, match=r":2:"):
-            data.read_csv(path)
+            data.read_csv(path, 2)
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("a,b\n0.5,1\n")
         with pytest.raises(ValueError, match=r":1:"):
-            data.read_csv(path)
+            data.read_csv(path, 2)
 
     def test_explicit_class_count_respected(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -397,7 +397,7 @@ def assert_codec_matches_reference(tmp_path, ds):
     assert got_sibling.exists() == ref_sibling.exists()
     if ref_sibling.exists():
         assert got_sibling.read_bytes() == ref_sibling.read_bytes()
-    back = data.read_csv(got)
+    back = data.read_csv(got, ds.classes)
     x, labels, posterior = reference_read_csv(ref)
     assert same_bits(back.x, x) and same_bits(back.x, ds.x)
     assert back.x.flags.c_contiguous
@@ -461,7 +461,7 @@ class TestCsvCodecMatchesReference:
         path.write_text(
             "x0,x1,y_clean\n0.25,0.75,1\n\n-0.0,1e-05,0\n", encoding="utf-8"
         )
-        ds = data.read_csv(path)
+        ds = data.read_csv(path, 2)
         x, labels, _ = reference_read_csv(path)
         assert same_bits(ds.x, x)
         assert same_bits(ds.y_clean, labels[:, 0])
@@ -473,7 +473,7 @@ class TestCsvCodecMatchesReference:
         with pytest.raises(ValueError) as want:
             reference_read_csv(path)
         with pytest.raises(data.CsvError) as got:
-            data.read_csv(path)
+            data.read_csv(path, 2)
         assert str(got.value) == str(want.value) == f"{path}:3: non-finite value 'inf'"
 
     @pytest.mark.parametrize(
@@ -494,7 +494,7 @@ class TestCsvCodecMatchesReference:
         with pytest.raises(ValueError) as want:
             reference_read_csv(path)
         with pytest.raises(data.CsvError) as got:
-            data.read_csv(path)
+            data.read_csv(path, 2)
         assert str(got.value) == str(want.value) == f"{path}{message}"
 
     def test_empty_posterior_sibling_names_it(self, tmp_path):
@@ -502,7 +502,7 @@ class TestCsvCodecMatchesReference:
         path.write_text("x0,y_clean\n0.5,1\n", encoding="utf-8")
         (tmp_path / "d.posterior.csv").write_text("", encoding="utf-8")
         with pytest.raises(data.CsvError, match=r"d\.posterior\.csv:1: empty file"):
-            data.read_csv(path)
+            data.read_csv(path, 2)
 
     def test_invalid_dataset_names_the_file(self, tmp_path):
         path = tmp_path / "d.csv"
@@ -510,13 +510,13 @@ class TestCsvCodecMatchesReference:
         sibling = tmp_path / "d.posterior.csv"
         sibling.write_text("p0,p1\n0.9,0.9\n", encoding="utf-8")
         with pytest.raises(data.CsvError, match=r"d\.csv: clean_posterior rows"):
-            data.read_csv(path)
+            data.read_csv(path, 2)
 
     def test_label_beyond_int64_names_the_file(self, tmp_path):
         path = tmp_path / "d.csv"
         path.write_text("x0,y_clean\n0.5,99999999999999999999\n", encoding="utf-8")
         with pytest.raises(data.CsvError, match=r"d\.csv: label out of int64 range"):
-            data.read_csv(path)
+            data.read_csv(path, 2)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -546,7 +546,7 @@ class TestPosteriorSibling:
         ds = data.gen_simplex_feature(3, 50, "edge-scattered", cap=0.9, seed=45)
         path = tmp_path / "d.csv"
         data.write_csv(path, ds)
-        back = data.read_csv(path)
+        back = data.read_csv(path, 3)
         assert same_bits(back.clean_posterior, reference_read_csv(path)[2])
         assert same_bits(back.clean_posterior, back.x)
         assert not np.shares_memory(back.clean_posterior, back.x)
@@ -565,7 +565,7 @@ class TestPosteriorSibling:
         (tmp_path / "d.posterior.csv").write_text(
             f"p0,p1\n0.25,0.75\n{p_row}\n", encoding="utf-8"
         )
-        back = data.read_csv(path)
+        back = data.read_csv(path, 2)
         assert same_bits(back.clean_posterior, np.array([[0.25, 0.75], want]))
         assert same_bits(back.clean_posterior, reference_read_csv(path)[2])
 
@@ -583,7 +583,7 @@ class TestPosteriorSibling:
         sibling = tmp_path / "d.posterior.csv"
         sibling.write_text("p0,p1\n" + body, encoding="utf-8")
         with pytest.raises(data.CsvError) as got:
-            data.read_csv(path)
+            data.read_csv(path, 2)
         assert str(got.value) == f"{sibling}{message}"
 
 

@@ -261,6 +261,48 @@ class TestMatrixText:
         with pytest.raises(ValueError, match="non-finite"):
             linalg.read_matrix_text(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# T\n1.0,2.0\n3.0,oops\n", ":3: bad float 'oops'"),
+            ("1.0,2.0\n\n3.0\n", ":3: expected 2 fields, got 1"),
+            ("1.0,2.0\n3.0,inf\n", ":2: non-finite value 'inf'"),
+            ("1.0,nan\n3.0,x\n", ":1: non-finite value 'nan'"),
+            ("# only a comment\n", ": no matrix rows found"),
+        ],
+        ids=["bad-float", "ragged", "non-finite", "first-bad-line", "empty"],
+    )
+    def test_matrix_file_names_first_bad_line_and_token(self, tmp_path, text, message):
+        path = tmp_path / "m.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as got:
+            linalg.read_matrix_text(path)
+        assert str(got.value) == f"{path}{message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("# block: w 2 2\n1.0,2.0\n3.0,oops\n", ":3: bad float 'oops'"),
+            ("# block: w 2 2\n1.0,2.0\n3.0\n", ":3: expected 2 fields, got 1"),
+            ("# block: b 1 2\n1.0,2.0\n# block: w 1 1\n-inf\n",
+             ":4: non-finite value '-inf'"),
+            ("# block: w 2 2\n1.0,2.0\n# block: b 1 2\n1.0,2.0\n",
+             ":1: block w declares 2 rows, got 1"),
+            ("# block: w 1 1\n1.0\n1.0\n", ":1: block w declares 1 rows, got 2"),
+            ("# a comment\n1.0,2.0\n# block: w 1 2\n1.0,2.0\n",
+             ":2: matrix row outside any block"),
+            ("# block: w two 2\n", ":1: malformed block header"),
+        ],
+        ids=["bad-float", "ragged", "non-finite", "too-few-rows", "too-many-rows",
+             "outside-block", "bad-header"],
+    )
+    def test_checkpoint_names_first_bad_line_and_token(self, tmp_path, text, message):
+        path = tmp_path / "ckpt.txt"
+        path.write_text(text)
+        with pytest.raises(ValueError) as got:
+            linalg.read_named_blocks(path)
+        assert str(got.value) == f"{path}{message}"
+
     def test_named_blocks_round_trip(self, tmp_path):
         rng = np.random.default_rng(18)
         blocks = [

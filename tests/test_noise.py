@@ -112,6 +112,25 @@ class TestCorruptLabels:
         c = noise.corrupt_labels(labels, t, seed=10)
         assert np.any(a != c)
 
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("kind, rate", [("symmetric", 0.4), ("pair", 0.45)])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_per_class_reference(self, classes, kind, rate, seed):
+        # The per-class inverse-CDF loop corrupt_labels used before it drew
+        # through data.sample_labels; the flips must stay bit for bit.
+        t = noise.build_transition(noise.NoiseSpec(kind, classes, rate=rate))
+        labels = np.random.default_rng([seed, 9]).integers(0, classes, size=2000)
+        u = np.random.default_rng([seed, noise._CORRUPT_STREAM]).random(labels.size)
+        cdf = np.cumsum(t, axis=0)
+        want = np.empty_like(labels)
+        for j in range(classes):
+            mask = labels == j
+            want[mask] = np.searchsorted(cdf[:, j], u[mask], side="right")
+        want = np.minimum(want, classes - 1)
+        got = noise.corrupt_labels(labels, t, seed=seed)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
             noise.corrupt_labels(np.array([0, 3]), np.eye(3), seed=0)

@@ -707,9 +707,9 @@ def reference_train(train_set, val_set, config, fixed_transition=None,
                     soft_targets=None, val_soft_targets=None):
     """`trainer.train` for runs that never abort, on the reference step."""
     x_train = np.asarray(train_set.x, dtype=np.float64)
-    y_train = trainer._labels_of(train_set) if soft_targets is None else None
+    y_train = train_set.labels if soft_targets is None else None
     x_val = np.asarray(val_set.x, dtype=np.float64)
-    y_val = trainer._labels_of(val_set) if val_soft_targets is None else None
+    y_val = val_set.labels if val_soft_targets is None else None
     classes, n = train_set.classes, x_train.shape[0]
     warmup = 0 if (fixed_transition is not None and config.head == "softmax") else (
         min(trainer.WARMUP_EPOCHS, max(config.epochs - 1, 0))
