@@ -169,8 +169,8 @@ def _splits(cfg, ds_noisy, seed, with_test):
 
 
 def _check_trained(res: trainer.TrainResult, label: str) -> trainer.TrainResult:
-    if res.aborted is not None:
-        raise NumericalFailure(f"{label}: {res.aborted}")
+    if res.history.aborted is not None:
+        raise NumericalFailure(f"{label}: {res.history.aborted}")
     return res
 
 
@@ -238,21 +238,20 @@ def _estimate_anchor(
 # evaluation helpers
 
 
-def _corrected_accuracy(params, t_est, test_set) -> float | None:
-    """Clean-label accuracy of the corrected scores T_est^{-1} g(x); None when
-    the estimate is singular, so it has no inverse to correct with."""
+def _corrected_accuracy(h, t_est, test_set) -> float | None:
+    """Clean-label accuracy of the corrected scores T_est^{-1} g(x), given
+    h = g(test_set.x); None when the estimate is singular, so it has no
+    inverse to correct with."""
     try:
         t_inv = linalg.inverse_transpose(t_est)
     except linalg.SingularMatrixError:
         return None
-    scores = model.forward_batch(params, test_set.x) @ t_inv
-    return float((scores.argmax(axis=1) == test_set.y_clean).mean())
+    return float(((h @ t_inv).argmax(axis=1) == test_set.y_clean).mean())
 
 
-def _posterior_linf(params, test_set) -> float | None:
+def _posterior_linf(h, test_set) -> float | None:
     if test_set.clean_posterior is None:
         return None
-    h = model.forward_batch(params, test_set.x)
     return float(np.abs(h - test_set.clean_posterior).max(axis=1).mean())
 
 
@@ -359,28 +358,28 @@ def _run_trial(cfg: config.ExperimentConfig, seed: int, trial_dir_text: str) -> 
     rows = []
     if "volmin" in cfg.get("estimators", "methods"):
         res = _train_volmin(cfg, seed, trial_dir, train_set, val_set, t_true)
+        h = model.forward_batch(res.params, test_set.x)
         rows.append(
             {
                 "method": "volmin",
                 "seed": seed,
                 "est_error": noise.estimation_error(t_true, res.transition),
-                "test_accuracy": trainer.accuracy(
-                    res.params, test_set.x, test_set.y_clean
-                ),
-                "posterior_linf": _posterior_linf(res.params, test_set),
+                "test_accuracy": float((h.argmax(axis=1) == test_set.y_clean).mean()),
+                "posterior_linf": _posterior_linf(h, test_set),
             }
         )
     if _anchor_methods(cfg):
         params, estimates = _estimate_anchor(
             cfg, seed, trial_dir, train_set, val_set, t_true
         )
+        h = model.forward_batch(params, test_set.x)
         for method, t_est in estimates.items():
             rows.append(
                 {
                     "method": method,
                     "seed": seed,
                     "est_error": noise.estimation_error(t_true, t_est),
-                    "test_accuracy": _corrected_accuracy(params, t_est, test_set),
+                    "test_accuracy": _corrected_accuracy(h, t_est, test_set),
                     "posterior_linf": None,
                 }
             )
@@ -481,6 +480,8 @@ def _apply_overrides(cfg, out: str | None, seed: int | None):
     if out is not None:
         values["output"]["dir"] = out
     if seed is not None:
+        if seed < 0:
+            raise config.ConfigError(f"--seed must be non-negative, got {seed}")
         values["trials"]["seeds"] = (seed,)
     return config.ExperimentConfig(values=values, raw=cfg.raw, source=cfg.source)
 

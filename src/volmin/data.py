@@ -162,18 +162,17 @@ def gen_simplex_feature(
     elif profile == "center-heavy":
         posterior = rng.dirichlet([5.0] * classes, size=n)
     else:
-        # Ordered pair (i, j), i != j; the point q e_i + (1-q) e_j sits
+        # Pair (i, j) = (first, second)[which], i != j; q e_i + (1-q) e_j sits
         # exactly on the simplex edge, so two draws from mirrored pairs
         # bracket the edge midpoint. The untouched zero coordinates are what
         # lets the scattering check succeed without anchor points.
-        pairs = [(i, j) for i in range(classes) for j in range(classes) if i != j]
-        which = rng.integers(0, len(pairs), size=n)
+        first, second = np.nonzero(~np.eye(classes, dtype=bool))
+        which = rng.integers(0, first.size, size=n)
         q = rng.uniform(0.5, 1.0, size=n)
         posterior = np.zeros((n, classes))
-        for k, (i, j) in enumerate(pairs):
-            rows = which == k
-            posterior[rows, i] = q[rows]
-            posterior[rows, j] = 1.0 - q[rows]
+        rows = np.arange(n)
+        posterior[rows, first[which]] = q
+        posterior[rows, second[which]] = 1.0 - q
     posterior = _apply_cap(posterior, cap, classes)
     y = sample_labels(posterior, rng)
     return Dataset(
@@ -185,40 +184,21 @@ def gen_simplex_feature(
 
 
 def gen_gaussian_mixture(
-    classes: int,
-    d: int,
-    means: np.ndarray,
-    n: int,
-    seed: int = 0,
-    covariance: np.ndarray | None = None,
-    priors: np.ndarray | None = None,
+    classes: int, d: int, means: np.ndarray, n: int, seed: int = 0
 ) -> Dataset:
-    """Gaussian mixture with one shared covariance and exact Bayes posterior.
+    """Gaussian mixture with unit covariance, equal priors and exact Bayes
+    posterior.
 
     x is drawn from the mixture marginal; y_clean is then drawn from the
     closed-form posterior at x (the joint law is the same either way)."""
     means = np.asarray(means, dtype=np.float64)
     if means.shape != (classes, d):
         raise ValueError(f"means must be ({classes}, {d})")
-    if covariance is None:
-        covariance = np.eye(d)
-    covariance = np.asarray(covariance, dtype=np.float64)
-    if covariance.shape != (d, d) or not np.allclose(covariance, covariance.T):
-        raise ValueError("covariance must be a symmetric (d, d) matrix")
-    try:
-        chol = np.linalg.cholesky(covariance)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError("covariance must be positive definite") from exc
-    if priors is None:
-        priors = np.full(classes, 1.0 / classes)
-    priors = np.asarray(priors, dtype=np.float64)
-    if priors.shape != (classes,) or priors.min() < 0 or abs(priors.sum() - 1) > 1e-9:
-        raise ValueError("priors must be a distribution over the classes")
-
+    priors = np.full(classes, 1.0 / classes)
     rng = np.random.default_rng([seed, _GEN_STREAM])
     comp = rng.choice(classes, size=n, p=priors)
-    x = means[comp] + rng.standard_normal((n, d)) @ chol.T
-    posterior = gaussian_mixture_posterior(x, means, covariance, priors)
+    x = means[comp] + rng.standard_normal((n, d))
+    posterior = gaussian_mixture_posterior(x, means, np.eye(d), priors)
     y = sample_labels(posterior, rng)
     return Dataset(
         x=x,
@@ -245,21 +225,15 @@ def gaussian_mixture_posterior(
     return e / e.sum(axis=1, keepdims=True)
 
 
-def remove_anchor_candidates(
-    ds: Dataset, q: float, posterior: np.ndarray | None = None
-) -> Dataset:
+def remove_anchor_candidates(ds: Dataset, q: float) -> Dataset:
     """Drop, per class j, the ceil(q * n_j) class-j instances with the
-    largest posterior for class j. Ties break toward the lowest index so
-    the result is deterministic."""
+    largest clean posterior for class j. Ties break toward the lowest index
+    so the result is deterministic."""
     if not (0.0 <= q < 1.0):
         raise ValueError(f"fraction must lie in [0, 1), got {q}")
+    posterior = ds.clean_posterior
     if posterior is None:
-        posterior = ds.clean_posterior
-    if posterior is None:
-        raise ValueError("no posterior available: dataset has none and none given")
-    posterior = np.asarray(posterior, dtype=np.float64)
-    if posterior.shape != (ds.n, ds.classes):
-        raise ValueError("posterior must be (n, classes)")
+        raise ValueError("no posterior available: the dataset has none")
     if q == 0.0:
         return ds.subset(np.arange(ds.n))
     keep = np.ones(ds.n, dtype=bool)
@@ -397,6 +371,14 @@ def read_csv(path, classes: int) -> Dataset:
         y = np.array(labels, dtype=np.int64).reshape(n_labels, x.shape[0])
     except OverflowError:
         raise CsvError(f"{path}: label out of int64 range") from None
+    bad = (y < 0) | (y >= classes)
+    if bad.any():
+        row, col = np.argwhere(bad.T)[0]
+        lineno = [i for i, line in enumerate(raw[1:], start=2) if line][row]
+        raise CsvError(
+            f"{path}:{lineno}: {header[d + col]} label {y[col, row]} is outside "
+            f"[0, {classes}) for data.classes = {classes}"
+        )
     y_clean = y[0]
     y_noisy = y[1] if has_noisy else None
 
@@ -408,6 +390,11 @@ def read_csv(path, classes: int) -> Dataset:
         pc = len(pheader)
         if pheader != [f"p{j}" for j in range(pc)]:
             raise CsvError(f"{ppath}:1: bad header {praw[0]!r}")
+        if pc != classes:
+            raise CsvError(
+                f"{ppath}:1: {pc} posterior columns, expected {classes} for "
+                f"data.classes = {classes}"
+            )
         if pc == d and _x_text(raw, n_labels) == [ln for ln in praw[1:] if ln]:
             # The sibling's text is the x columns' (simplex data).
             posterior = x.copy()

@@ -49,9 +49,7 @@ def fit_noisy_posterior(train_set, val_set, config: trainer.TrainConfig):
     """
     classes = train_set.classes
     cfg = replace(
-        trainer.plain_config(config),
-        head="sparsemax-smoothed",
-        head_opt=FIT_OPTIMIZER,
+        config, lam=0.0, head="sparsemax-smoothed", head_opt=FIT_OPTIMIZER
     )
     return trainer.train(train_set, val_set, cfg, fixed_transition=np.eye(classes))
 
@@ -91,10 +89,7 @@ def anchor_estimate_percentile(g, xs, alpha: float) -> np.ndarray:
     if not (0.0 < alpha < 100.0):
         raise ValueError(f"alpha must lie strictly between 0 and 100, got {alpha}")
     p = _posteriors(g, xs)
-    n, classes = p.shape
+    n = p.shape[0]
     idx = min(math.floor(alpha / 100.0 * n), n - 1)
-    cols = []
-    for j in range(classes):
-        order = np.argsort(-p[:, j], kind="stable")
-        cols.append(p[order[idx]])
-    return np.array(cols).T.copy()
+    order = np.argsort(-p, axis=0, kind="stable")
+    return p[order[idx]].T.copy()

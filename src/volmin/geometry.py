@@ -82,14 +82,8 @@ def sample_boundary_rays(classes: int, count: int, seed: int = 0) -> np.ndarray:
     rng = np.random.default_rng([seed, _RAY_STREAM])
     g = rng.standard_normal((count, classes))
     t = g - g.mean(axis=1, keepdims=True)
-    norms = np.linalg.norm(t, axis=1, keepdims=True)
-    # A zero tangent has probability zero; regenerate entry-wise if seen.
-    while (norms == 0).any():
-        bad = norms[:, 0] == 0
-        g2 = rng.standard_normal((int(bad.sum()), classes))
-        t[bad] = g2 - g2.mean(axis=1, keepdims=True)
-        norms = np.linalg.norm(t, axis=1, keepdims=True)
-    t /= norms
+    # A zero tangent needs all C normals of a row equal: probability zero.
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
     v = math.sqrt(classes - 1) / classes + t / math.sqrt(classes)
     return np.maximum(v, 0.0)  # clamp float dust at the exactly-zero corner
 

@@ -243,35 +243,27 @@ def parse_rows(numbered_lines, source, width: int, floats: int):
     return np.array(xs, dtype=np.float64).reshape(len(xs), floats), ints
 
 
-def format_matrix_text(a, comment: str | None = None) -> str:
+def write_matrix_text(path: str | Path, a, comment: str | None = None) -> None:
     lines = [f"# {ln}" for ln in comment.splitlines()] if comment else []
     lines += format_rows(as_matrix(a))
-    return "\n".join(lines) + "\n"
-
-
-def write_matrix_text(path: str | Path, a, comment: str | None = None) -> None:
-    atomic_write_text(path, format_matrix_text(a, comment))
-
-
-def parse_matrix_text(text: str, source: str = "<text>") -> np.ndarray:
-    rows = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
-    rows = [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
-    if not rows:
-        raise ValueError(f"{source}: no matrix rows found")
-    width = rows[0][1].count(",") + 1
-    return parse_rows(rows, source, width, width)[0]
+    atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def read_matrix_text(path: str | Path) -> np.ndarray:
     text = Path(path).read_text(encoding="utf-8")
-    return parse_matrix_text(text, source=str(path))
+    rows = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
+    rows = [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
+    if not rows:
+        raise ValueError(f"{path}: no matrix rows found")
+    width = rows[0][1].count(",") + 1
+    return parse_rows(rows, str(path), width, width)[0]
 
 
 # Parameter checkpoints: a flat list of named blocks, each a matrix in the
 # text format above, delimited by '# block: <name> <rows> <cols>' headers.
 
 
-def format_named_blocks(blocks: list[tuple[str, np.ndarray]]) -> str:
+def write_named_blocks(path: str | Path, blocks: list[tuple[str, np.ndarray]]) -> None:
     chunks = []
     for name, arr in blocks:
         arr = as_matrix(arr, name)
@@ -279,11 +271,7 @@ def format_named_blocks(blocks: list[tuple[str, np.ndarray]]) -> str:
             raise ValueError(f"block name may not contain whitespace: {name!r}")
         chunks.append(f"# block: {name} {arr.shape[0]} {arr.shape[1]}")
         chunks += format_rows(arr)
-    return "\n".join(chunks) + "\n"
-
-
-def write_named_blocks(path: str | Path, blocks: list[tuple[str, np.ndarray]]) -> None:
-    atomic_write_text(path, format_named_blocks(blocks))
+    atomic_write_text(path, "\n".join(chunks) + "\n")
 
 
 def read_named_blocks(path: str | Path) -> list[tuple[str, np.ndarray]]:

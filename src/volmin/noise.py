@@ -59,8 +59,7 @@ def build_transition(spec: NoiseSpec) -> np.ndarray:
             raise ValueError(f"pair rate must lie in [0, 0.5), got {rate}")
         t = np.zeros((c, c))
         np.fill_diagonal(t, 1.0 - rate)
-        for j in range(c):
-            t[(j + 1) % c, j] = rate
+        t[(np.arange(c) + 1) % c, np.arange(c)] = rate
         return t
     if spec.kind == "custom":
         if not spec.matrix_path:
@@ -74,16 +73,13 @@ def build_transition(spec: NoiseSpec) -> np.ndarray:
     raise ValueError(f"unknown noise kind {spec.kind!r}; expected one of {NOISE_KINDS}")
 
 
-def validate_transition(
-    t: np.ndarray, classes: int | None = None, col_tol: float = 1e-9
-) -> None:
-    """Reject matrices that are not column-stochastic and diagonally dominant."""
+def validate_transition(t: np.ndarray, classes: int, col_tol: float = 1e-9) -> None:
+    """Reject matrices that are not `classes` x `classes`, column-stochastic
+    and diagonally dominant."""
     t = linalg.as_matrix(t, "transition matrix")
     n, m = t.shape
-    if n != m:
-        raise ValueError(f"transition matrix must be square, got {n}x{m}")
-    if classes is not None and n != classes:
-        raise ValueError(f"transition matrix is {n}x{n}, expected {classes} classes")
+    if (n, m) != (classes, classes):
+        raise ValueError(f"transition matrix is {n}x{m}, expected {classes}x{classes}")
     if np.any(t < 0.0) or np.any(t > 1.0):
         raise ValueError("transition entries must lie in [0, 1]")
     sums = t.sum(axis=0)

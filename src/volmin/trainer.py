@@ -57,6 +57,11 @@ SELECTION_METRICS = ("noisy-val-accuracy", "noisy-val-loss")
 # Epochs the classifier trains alone before the joint phase (module docstring).
 WARMUP_EPOCHS = 5
 
+# Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 @dataclass(frozen=True)
 class OptimizerSpec:
@@ -64,19 +69,14 @@ class OptimizerSpec:
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def sgd(lr: float, momentum: float = 0.0, weight_decay: float = 0.0) -> OptimizerSpec:
     return OptimizerSpec("sgd", lr, momentum=momentum, weight_decay=weight_decay)
 
 
-def adam(
-    lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8
-) -> OptimizerSpec:
-    return OptimizerSpec("adam", lr, beta1=beta1, beta2=beta2, eps=eps)
+def adam(lr: float) -> OptimizerSpec:
+    return OptimizerSpec("adam", lr)
 
 
 @dataclass(frozen=True)
@@ -129,13 +129,13 @@ class OptimizerState:
             self.m += g
             w -= lr * self.m
         else:
-            self.m *= spec.beta1
-            self.m += (1.0 - spec.beta1) * g
-            self.v *= spec.beta2
-            self.v += (1.0 - spec.beta2) * g * g
-            mhat = self.m / (1.0 - spec.beta1**self.t)
-            vhat = self.v / (1.0 - spec.beta2**self.t)
-            w -= lr * mhat / (np.sqrt(vhat) + spec.eps)
+            self.m *= ADAM_BETA1
+            self.m += (1.0 - ADAM_BETA1) * g
+            self.v *= ADAM_BETA2
+            self.v += (1.0 - ADAM_BETA2) * g * g
+            mhat = self.m / (1.0 - ADAM_BETA1**self.t)
+            vhat = self.v / (1.0 - ADAM_BETA2**self.t)
+            w -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 def lr_scale_at(schedule: tuple[tuple[int, float], ...], epoch: int) -> float:
@@ -267,14 +267,6 @@ def confusion_start(
 # Metrics
 
 
-def accuracy(params: model.ClassifierParams, x: np.ndarray, y: np.ndarray) -> float:
-    """Share of argmax classifier predictions matching `y`."""
-    if x.shape[0] == 0:
-        return float("nan")
-    pred = model.forward_batch(params, x).argmax(axis=1)
-    return float((pred == y).mean())
-
-
 def _val_metric(metric, params, t_hat, x, y, soft_targets) -> float:
     if x.shape[0] == 0:
         return float("nan")
@@ -332,7 +324,6 @@ class TrainResult:
     transition: np.ndarray  # realized matrix of the selected epoch
     history: TrainHistory
     best_epoch: int
-    aborted: str | None = None
 
 
 def train(
@@ -385,8 +376,6 @@ def train(
     if n == 0:
         raise ValueError("empty training set")
 
-    if config.head not in model.HEADS:
-        raise ValueError(f"unknown head {config.head!r}; expected one of {model.HEADS}")
     if (
         config.head == "sparsemax"
         and fixed_transition is not None
@@ -402,9 +391,10 @@ def train(
         min(WARMUP_EPOCHS, max(config.epochs - 1, 0))
     )
     params = model.init_classifier(
-        x_train.shape[1], tuple(config.hidden), classes, config.seed,
-        "softmax" if warmup else config.head,
+        x_train.shape[1], tuple(config.hidden), classes, config.seed, config.head
     )
+    if warmup:
+        params.head = "softmax"
     # One buffer holds every classifier parameter, weights first, and one
     # its gradient, so the optimizer steps them as a single array.
     theta = model._flatten(params)
@@ -428,7 +418,6 @@ def train(
     best_metric = -np.inf
     best_params = best_weights = None
     best_epoch = 0
-    aborted = None
 
     for epoch in range(1, config.epochs + 1):
         if warmup and epoch == warmup + 1:
@@ -487,7 +476,7 @@ def train(
                         f"non-finite classifier weights at epoch {epoch}"
                     )
         except (FloatingPointError, linalg.SingularMatrixError) as exc:
-            aborted = str(exc)
+            history.aborted = str(exc)
             break
 
         t_hat = transition.realize(tt) if tt is not None else fixed_transition
@@ -513,7 +502,7 @@ def train(
         # No epoch was ever selected (empty validation set, zero epochs, or
         # an abort): fall back to the last-good state -- the start of the
         # aborted epoch, or the final state of a clean run.
-        if aborted is not None:
+        if history.aborted is not None:
             theta[:] = snap_theta
             if snap_weights is not None:
                 tt.weights[:] = snap_weights
@@ -521,7 +510,6 @@ def train(
         best_weights = None if tt is None else tt.weights.copy()
         best_epoch = len(history.rows)
 
-    history.aborted = aborted
     if best_weights is not None:
         final_t = transition.realize(transition.TrainableTransition(best_weights))
     else:
@@ -532,10 +520,4 @@ def train(
         transition=final_t,
         history=history,
         best_epoch=best_epoch,
-        aborted=aborted,
     )
-
-
-def plain_config(config: TrainConfig) -> TrainConfig:
-    """The same protocol with the volume term off (lam = 0)."""
-    return replace(config, lam=0.0)

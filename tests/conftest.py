@@ -1,6 +1,16 @@
-"""Shared pytest hooks: per-criterion summary for the acceptance suite."""
+"""Shared pytest hooks: per-criterion summary for the acceptance suite, and
+the source tree on the import path of the subprocesses tests start."""
 
+import os
 import re
+from pathlib import Path
+
+# pyproject's `pythonpath` reaches this process only; C8 runs
+# `python -m volmin.cli` in a subprocess, which needs a checkout's `src` too.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [_SRC, os.environ.get("PYTHONPATH")])
+)
 
 CRITERIA = {
     "c1": "gradient exactness",

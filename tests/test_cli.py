@@ -207,6 +207,41 @@ class TestExitCodes:
         assert "mine.csv:3: bad label" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "dataset, posterior, message",
+        [
+            (
+                "x0,x1,y_clean\n0.5,0.5,1\n0.5,0.5,3\n",
+                None,
+                "data.path: mine.csv:3: y_clean label 3 is outside [0, 3) for "
+                "data.classes = 3",
+            ),
+            (
+                "x0,x1,x2,y_clean\n0.5,0.5,0.0,1\n",
+                "p0,p1\n0.5,0.5\n",
+                "data.path: mine.posterior.csv:1: 2 posterior columns, expected 3 "
+                "for data.classes = 3",
+            ),
+        ],
+        ids=["label-out-of-range", "posterior-width"],
+    )
+    def test_user_csv_names_the_file_and_line_at_fault(
+        self, tmp_path, capsys, dataset, posterior, message
+    ):
+        src = tmp_path / "mine.csv"
+        src.write_text(dataset, encoding="utf-8")
+        if posterior is not None:
+            (tmp_path / "mine.posterior.csv").write_text(posterior, encoding="utf-8")
+        cfg = write_cfg(
+            tmp_path,
+            TINY.replace("data.generator = simplex", "data.generator = csv")
+            + f"data.path = {src}\n",
+        )
+        assert run("generate", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert message in err.replace(str(tmp_path) + os.sep, "")
+        assert "Traceback" not in err
+
     def test_staged_csv_without_the_last_class(self, tmp_path):
         # The class count is data.classes, not the largest label read back:
         # no sample of class 2 (and no noise to flip one in) still gives 3x3
@@ -329,17 +364,25 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "text, argv",
-        [(TINY.replace("trials.seeds = 0", "trials.seeds = -1"), ()), (TINY, ("--seed", -3))],
+        "text, argv, message",
+        [
+            (
+                TINY.replace("trials.seeds = 0", "trials.seeds = -1"),
+                (),
+                "trials.seeds must be non-negative",
+            ),
+            (TINY, ("--seed", -3), "config error: --seed must be non-negative, got -3"),
+        ],
         ids=["config", "override"],
     )
-    def test_negative_seed(self, tmp_path, capsys, text, argv):
+    def test_negative_seed(self, tmp_path, capsys, text, argv, message):
         # numpy refuses a negative seed deep inside the generator; the
-        # config check catches it first, also when --seed supplies it.
+        # config check catches it first, and a negative --seed is blamed on
+        # the command line, not the config file.
         cfg = write_cfg(tmp_path, text)
         assert run("generate", "--config", cfg, *argv) == 2
         err = capsys.readouterr().err
-        assert "trials.seeds must be non-negative" in err
+        assert message in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "dataset.csv").exists()
 
@@ -505,7 +548,8 @@ class TestSweep:
         params = model.init_classifier(2, (), 2, seed=0)
         test_set = data.gen_simplex_feature(2, 20, "corner-rich", seed=0)
         t_est = np.diag([1e-310, 1.0])
-        assert cli._corrected_accuracy(params, t_est, test_set) is None
+        h = model.forward_batch(params, test_set.x)
+        assert cli._corrected_accuracy(h, t_est, test_set) is None
 
 
 class TestSinglePipeline:
@@ -539,6 +583,29 @@ class TestSinglePipeline:
         assert run("sweep", "--config", cfg) == 0
         # two seeds, one call per anchor method and seed
         assert calls == {"anchor_estimate_max": 2, "anchor_estimate_percentile": 2}
+
+    def test_test_set_forwarded_once_per_model(self, tmp_path, monkeypatch):
+        # One trial forwards the volmin classifier and the noisy-posterior
+        # fit over the test set once each; both anchor methods share the fit's.
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        test_xs, calls = [], []
+        original_splits, original_forward = cli._splits, model.forward_batch
+
+        def splits(*args, **kwargs):
+            out = original_splits(*args, **kwargs)
+            test_xs.append(out[2].x)
+            return out
+
+        def forward(params, x):
+            calls.extend(x is t for t in test_xs)
+            return original_forward(params, x)
+
+        monkeypatch.setattr(cli, "_splits", splits)
+        monkeypatch.setattr(model, "forward_batch", forward)
+        cfg = write_cfg(tmp_path, SWEEP)
+        assert run("sweep", "--config", cfg, "--seed", 3) == 0
+        assert len(test_xs) == 1
+        assert sum(calls) == 2
 
     @pytest.mark.parametrize("balance, per_trial", [(False, 1), (True, 2)])
     def test_x_rows_formatted_once_per_written_dataset(

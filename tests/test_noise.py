@@ -31,7 +31,7 @@ class TestBuildTransition:
         with pytest.raises(ValueError):
             noise.build_transition(noise.NoiseSpec("symmetric", 2, rate=0.5))
         t = noise.build_transition(noise.NoiseSpec("symmetric", 2, rate=0.499))
-        noise.validate_transition(t)
+        noise.validate_transition(t, classes=2)
 
     def test_pair_rate_bound(self):
         with pytest.raises(ValueError):
@@ -67,7 +67,7 @@ class TestBuildTransition:
 
 class TestValidateTransition:
     def test_accepts_identity(self):
-        noise.validate_transition(np.eye(5))
+        noise.validate_transition(np.eye(5), classes=5)
 
     def test_rejects_wrong_class_count(self):
         with pytest.raises(ValueError):
@@ -76,7 +76,7 @@ class TestValidateTransition:
     def test_rejects_negative_entry(self):
         t = np.array([[1.1, 0.0], [-0.1, 1.0]])
         with pytest.raises(ValueError):
-            noise.validate_transition(t)
+            noise.validate_transition(t, classes=2)
 
 
 class TestCorruptLabels:

@@ -3,6 +3,7 @@ finite-difference checks through the composed objective, determinism, abort
 handling, and checkpoint selection."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -347,8 +348,8 @@ class TestTrainLoop:
             head="softmax",
         )
         res = trainer.train(train_set, val_set, cfg, fixed_transition=np.eye(3))
-        acc = trainer.accuracy(res.params, train_set.x, train_set.y_clean)
-        assert acc > 0.95
+        pred = model.forward_batch(res.params, train_set.x).argmax(axis=1)
+        assert (pred == train_set.y_clean).mean() > 0.95
         assert res.transition_weights is None
         np.testing.assert_array_equal(res.transition, np.eye(3))
 
@@ -423,8 +424,8 @@ class TestTrainLoop:
             head="softmax",
         )
         res = trainer.train(train_set, val_set, cfg, fixed_transition=np.eye(2))
-        assert res.aborted is not None
-        assert "non-finite" in res.aborted
+        assert res.history.aborted is not None
+        assert "non-finite" in res.history.aborted
         assert "# aborted:" in res.history.to_csv()
         for w in res.params.weights:
             assert np.isfinite(w).all()
@@ -472,19 +473,13 @@ class TestTrainLoop:
         )
         rows = trainer.train(train_set, val_set, cfg, true_transition=t).history.rows
         plain = trainer.train(
-            train_set, val_set, trainer.plain_config(cfg), true_transition=t
+            train_set, val_set, replace(cfg, lam=0.0), true_transition=t
         ).history.rows
         warm = trainer.WARMUP_EPOCHS
         assert [r.logabsdet for r in rows[:warm]] == [r.logabsdet for r in plain[:warm]]
         for r, p in zip(rows[warm:], plain[warm:]):
             assert r.logabsdet <= p.logabsdet
         assert rows[-1].logabsdet < plain[-1].logabsdet
-
-    def test_plain_config_only_drops_volume_term(self):
-        cfg = trainer.TrainConfig(epochs=7, seed=5)
-        plain = trainer.plain_config(cfg)
-        assert plain.lam == 0.0
-        assert plain.epochs == 7 and plain.seed == 5
 
     def test_empty_training_set_rejected(self):
         ds = toy_dataset(10, classes=2, seed=84)
@@ -694,13 +689,13 @@ class ReferenceOptimizer:
                 self.m[i] += g
                 w -= lr * self.m[i]
             else:
-                self.m[i] *= spec.beta1
-                self.m[i] += (1.0 - spec.beta1) * g
-                self.v[i] *= spec.beta2
-                self.v[i] += (1.0 - spec.beta2) * g * g
-                mhat = self.m[i] / (1.0 - spec.beta1**self.t)
-                vhat = self.v[i] / (1.0 - spec.beta2**self.t)
-                w -= lr * mhat / (np.sqrt(vhat) + spec.eps)
+                self.m[i] *= 0.9
+                self.m[i] += (1.0 - 0.9) * g
+                self.v[i] *= 0.999
+                self.v[i] += (1.0 - 0.999) * g * g
+                mhat = self.m[i] / (1.0 - 0.9**self.t)
+                vhat = self.v[i] / (1.0 - 0.999**self.t)
+                w -= lr * mhat / (np.sqrt(vhat) + 1e-8)
 
 
 def reference_train(train_set, val_set, config, fixed_transition=None,
@@ -815,7 +810,7 @@ class TestStepMatchesReference:
             )
 
         got = trainer.train(train_set, val_set, cfg, **kwargs)
-        assert got.aborted is None
+        assert got.history.aborted is None
         with monkeypatch.context() as m:
             m.setattr(transition, "_sigmoid", reference_sigmoid)
             m.setattr(transition, "_column_sums", reference_column_sums)
@@ -894,7 +889,7 @@ class TestAbortFallback:
         monkeypatch.setattr(trainer, "loss_and_grads", wrapped)
         res = trainer.train(train_set, val_set, cfg)
 
-        assert res.aborted == f"non-finite loss at epoch {abort_epoch}, batch 2"
+        assert res.history.aborted == f"non-finite loss at epoch {abort_epoch}, batch 2"
         assert res.best_epoch == abort_epoch - 1
         start_params, start_weights = seen[first]
         moved_params, moved_weights = seen[first + 2]
