@@ -10,6 +10,10 @@ protocol diff. Rules:
   - values are parsed per key: int, float, bool (true/false), string,
     a choice from a fixed set, a comma-separated int list, or an
     epoch:divisor schedule such as `30:10,60:10`
+  - each key's parser checks its range (`data.classes` >= 2, ...) as its
+    line is parsed; only the three rules that span keys (csv needs
+    `data.path`, custom noise `noise.matrix_path`, simplex `data.cap` >
+    1/`data.classes`) are checked on the whole document, without a line
 
 Sections: `data` (what to generate or load), `noise` (label corruption),
 `train` (joint training hyperparameters), `estimators` (which transition
@@ -25,7 +29,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import data, geometry, noise, trainer
+from . import data, fileio, geometry, noise, trainer
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
@@ -56,10 +60,6 @@ def _bool(text: str) -> bool:
     raise ValueError(f"expected true or false, got {text!r}")
 
 
-def _str(text: str) -> str:
-    return text
-
-
 def _choice(*options: str):
     def parse(text: str) -> str:
         if text not in options:
@@ -69,10 +69,46 @@ def _choice(*options: str):
     return parse
 
 
+def _ranged(parse, low, high=math.inf, ends="[]"):
+    """`parse`, then require low <= value <= high; a `(` or `)` in `ends`
+    makes that end open."""
+    rule = f"in {ends[0]}{low:g}, {high:g}{ends[1]}"
+    if high == math.inf:
+        rule = (">" if ends[0] == "(" else ">=") + f" {low:g}"
+
+    def parse_in_range(text: str):
+        value = parse(text)
+        above = value > low if ends[0] == "(" else value >= low
+        below = value < high if ends[1] == ")" else value <= high
+        if not (above and below):
+            raise ValueError(f"must be {rule}, got {value!r}")
+        return value
+
+    return parse_in_range
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     if not text:
         return ()
     return tuple(int(part.strip(), 10) for part in text.split(","))
+
+
+def _widths(text: str) -> tuple[int, ...]:
+    widths = _int_list(text)
+    if len(widths) > 2 or any(w < 1 for w in widths):
+        raise ValueError(f"must list at most two positive widths, got {text}")
+    return widths
+
+
+def _seeds(text: str) -> tuple[int, ...]:
+    seeds = _int_list(text)
+    if not seeds:
+        raise ValueError("must list at least one seed")
+    if min(seeds) < 0:
+        raise ValueError(f"must be non-negative, got {min(seeds)}")
+    if len(set(seeds)) != len(seeds):
+        raise ValueError(f"must not list a repeated seed, got {','.join(map(str, seeds))}")
+    return seeds
 
 
 def _method_list(text: str) -> tuple[str, ...]:
@@ -97,63 +133,66 @@ def _schedule(text: str) -> tuple[tuple[int, float], ...]:
         epoch_text, _, div_text = part.strip().partition(":")
         if not div_text:
             raise ValueError(f"schedule entry {part.strip()!r} is not epoch:divisor")
-        out.append((int(epoch_text, 10), _float(div_text)))
+        divisor = _float(div_text)
+        if not divisor > 0.0:
+            raise ValueError(f"divisors must be positive, got {part.strip()!r}")
+        out.append((int(epoch_text, 10), divisor))
     return tuple(out)
 
 
 # The training protocol's defaults, which the `train` section reads.
 _TRAIN = trainer.TrainConfig()
 
-# Schema: section -> key -> (parser, default). Defaults are the protocol
-# constants; tests assert the load-bearing ones directly.
+# Schema: section -> key -> (parser, default). Each parser checks its key's
+# range; defaults are the protocol constants.
 SCHEMA = {
     "data": {
         "generator": (_choice(*GENERATORS), "simplex"),
-        "classes": (_int, 3),
-        "n": (_int, 20000),
+        "classes": (_ranged(_int, 2), 3),
+        "n": (_ranged(_int, 1), 20000),
         "profile": (_choice(*data.SIMPLEX_PROFILES), "edge-scattered"),
-        "cap": (_float, 1.0),
-        "remove_anchor_fraction": (_float, 0.0),
+        "cap": (_ranged(_float, 0, 1, "(]"), 1.0),
+        "remove_anchor_fraction": (_ranged(_float, 0, 1, "[)"), 0.0),
         "balance": (_bool, False),
-        "d": (_int, 0),  # gaussian feature dim; 0 means "same as classes"
-        "means_path": (_str, ""),
-        "path": (_str, ""),  # CSV input for generator = csv
+        "d": (_ranged(_int, 0), 0),  # gaussian feature dim; 0 means "same as classes"
+        "means_path": (str, ""),
+        "path": (str, ""),  # CSV input for generator = csv
     },
     "noise": {
         "kind": (_choice(*noise.NOISE_KINDS), "symmetric"),
         "rate": (_float, 0.0),
-        "matrix_path": (_str, ""),
+        "matrix_path": (str, ""),
     },
     "train": {
         "lam": (_float, _TRAIN.lam),
-        "epochs": (_int, _TRAIN.epochs),
-        "batch_size": (_int, _TRAIN.batch_size),
-        "hidden": (_int_list, _TRAIN.hidden),
+        "epochs": (_ranged(_int, 1), _TRAIN.epochs),
+        "batch_size": (_ranged(_int, 1), _TRAIN.batch_size),
+        "hidden": (_widths, _TRAIN.hidden),
         "classifier_lr": (_float, _TRAIN.classifier_opt.lr),
-        "classifier_momentum": (_float, _TRAIN.classifier_opt.momentum),
+        "classifier_momentum": (_ranged(_float, 0, 1, "[)"), _TRAIN.classifier_opt.momentum),
         "classifier_weight_decay": (_float, _TRAIN.classifier_opt.weight_decay),
         "transition_lr": (_float, _TRAIN.transition_opt.lr),
-        "transition_momentum": (_float, _TRAIN.transition_opt.momentum),
+        "transition_momentum": (_ranged(_float, 0, 1, "[)"), _TRAIN.transition_opt.momentum),
         "lr_schedule": (_schedule, _TRAIN.lr_schedule),
         "selection_metric": (_choice(*trainer.SELECTION_METRICS), _TRAIN.selection_metric),
-        "val_fraction": (_float, 0.1),
+        "val_fraction": (_ranged(_float, 0, 1, "()"), 0.1),
     },
     "estimators": {
         "methods": (_method_list, ("volmin", "anchor-max")),
-        "alpha": (_float, 3.0),
+        "alpha": (_ranged(_float, 0, 100, "()"), 3.0),
     },
     "geometry": {
-        "rays": (_int, geometry.DEFAULT_RAY_COUNT),
-        "trials": (_int, geometry.DEFAULT_WITNESS_TRIALS),
-        "coverage_tol": (_float, geometry.DEFAULT_COVERAGE_TOL),
-        "witness_tol": (_float, geometry.DEFAULT_WITNESS_TOL),
-        "anchor_delta": (_float, geometry.DEFAULT_ANCHOR_DELTA),
+        "rays": (_ranged(_int, 1), geometry.DEFAULT_RAY_COUNT),
+        "trials": (_ranged(_int, 1), geometry.DEFAULT_WITNESS_TRIALS),
+        "coverage_tol": (_ranged(_float, 0, ends="(]"), geometry.DEFAULT_COVERAGE_TOL),
+        "witness_tol": (_ranged(_float, 0), geometry.DEFAULT_WITNESS_TOL),
+        "anchor_delta": (_ranged(_float, 0, 1), geometry.DEFAULT_ANCHOR_DELTA),
     },
     "trials": {
-        "seeds": (_int_list, DEFAULT_SEEDS),
+        "seeds": (_seeds, DEFAULT_SEEDS),
     },
     "output": {
-        "dir": (_str, "out"),
+        "dir": (str, "out"),
     },
 }
 
@@ -161,8 +200,8 @@ SCHEMA = {
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Parsed, schema-complete config plus the raw text it came from. The
-    cross-key constraints are checked on construction, so values overridden
-    after parsing pass the same checks."""
+    cross-key rules are checked on construction, so values overridden after
+    parsing pass them too; each key's own range is its parser's."""
 
     values: dict
     raw: str = ""
@@ -219,19 +258,6 @@ def _cross_validate(values: dict, source: str) -> None:
     d = values["data"]
     if d["generator"] == "csv" and not d["path"]:
         raise ConfigError(f"{source}: data.generator = csv requires data.path")
-    if not 0.0 <= d["remove_anchor_fraction"] < 1.0:
-        raise ConfigError(
-            f"{source}: data.remove_anchor_fraction must be in [0, 1), got "
-            f"{d['remove_anchor_fraction']!r}"
-        )
-    if d["classes"] < 2:
-        raise ConfigError(f"{source}: data.classes must be >= 2, got {d['classes']}")
-    if d["n"] < 1:
-        raise ConfigError(f"{source}: data.n must be positive, got {d['n']}")
-    if d["d"] < 0:
-        raise ConfigError(f"{source}: data.d must be >= 0, got {d['d']}")
-    if not 0.0 < d["cap"] <= 1.0:
-        raise ConfigError(f"{source}: data.cap must be in (0, 1], got {d['cap']!r}")
     if d["generator"] == "simplex" and d["cap"] <= 1.0 / d["classes"]:
         raise ConfigError(
             f"{source}: data.cap must exceed 1/data.classes = 1/{d['classes']} for "
@@ -239,46 +265,6 @@ def _cross_validate(values: dict, source: str) -> None:
         )
     if values["noise"]["kind"] == "custom" and not values["noise"]["matrix_path"]:
         raise ConfigError(f"{source}: noise.kind = custom requires noise.matrix_path")
-    t = values["train"]
-    if not 0.0 < t["val_fraction"] < 1.0:
-        raise ConfigError(
-            f"{source}: train.val_fraction must be in (0, 1), got {t['val_fraction']!r}"
-        )
-    if t["epochs"] < 1 or t["batch_size"] < 1:
-        raise ConfigError(f"{source}: train.epochs and train.batch_size must be positive")
-    if not 0.0 <= t["transition_momentum"] < 1.0:
-        raise ConfigError(
-            f"{source}: train.transition_momentum must be in [0, 1), got "
-            f"{t['transition_momentum']!r}"
-        )
-    if len(t["hidden"]) > 2 or any(h < 1 for h in t["hidden"]):
-        raise ConfigError(
-            f"{source}: train.hidden must list at most two positive widths, got "
-            f"{','.join(map(str, t['hidden']))}"
-        )
-    if any(not divisor > 0.0 for _, divisor in t["lr_schedule"]):
-        raise ConfigError(f"{source}: train.lr_schedule divisors must be positive")
-    e = values["estimators"]
-    if not 0.0 < e["alpha"] < 100.0:
-        raise ConfigError(
-            f"{source}: estimators.alpha must be in (0, 100), got {e['alpha']!r}"
-        )
-    g = values["geometry"]
-    if g["rays"] < 1 or g["trials"] < 1:
-        raise ConfigError(f"{source}: geometry.rays and geometry.trials must be positive")
-    if not 0.0 <= g["anchor_delta"] <= 1.0:
-        raise ConfigError(
-            f"{source}: geometry.anchor_delta must be in [0, 1], got {g['anchor_delta']!r}"
-        )
-    if not values["trials"]["seeds"]:
-        raise ConfigError(f"{source}: trials.seeds must list at least one seed")
-    if min(values["trials"]["seeds"]) < 0:
-        raise ConfigError(
-            f"{source}: trials.seeds must be non-negative, got "
-            f"{min(values['trials']['seeds'])}"
-        )
-    if len(set(values["trials"]["seeds"])) != len(values["trials"]["seeds"]):
-        raise ConfigError(f"{source}: trials.seeds contains a repeated seed")
 
 
 def parse_config(text: str, source: str = "<text>") -> ExperimentConfig:
@@ -322,7 +308,7 @@ def parse_config(text: str, source: str = "<text>") -> ExperimentConfig:
 def load_config(path: str | Path) -> ExperimentConfig:
     p = Path(path)
     try:
-        text = p.read_text(encoding="utf-8")
+        text = fileio.read_text(p, ConfigError)
     except OSError as exc:
         raise ConfigError(f"cannot read config {p}: {exc}")
     return parse_config(text, source=str(p))

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import linalg
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 _GEN_STREAM = 201
 _SPLIT_STREAM = 204
@@ -332,8 +332,7 @@ def write_csv(path, ds: Dataset) -> None:
 
 
 def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as fh:
-        raw = fh.read().splitlines()
+    raw = read_text(path, CsvError).splitlines()
     if not raw:
         raise CsvError(f"{path}:1: empty file")
     return raw

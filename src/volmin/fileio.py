@@ -1,4 +1,4 @@
-"""Atomic file writing and small hashing helpers."""
+"""Atomic file writing, UTF-8 reading and small hashing helpers."""
 
 from __future__ import annotations
 
@@ -21,6 +21,18 @@ def atomic_write_text(path: str | Path, text: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
+
+
+def read_text(path: str | Path, error: type[ValueError] = ValueError) -> str:
+    """The UTF-8 text of `path`, newlines translated as `open` does; a byte
+    that is not UTF-8 raises `error` naming the file and its line."""
+    blob = Path(path).read_bytes()
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = blob.count(b"\n", 0, exc.start) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 
 
 def sha256_of_file(path: str | Path) -> str:

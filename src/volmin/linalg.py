@@ -28,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .fileio import atomic_write_text
+from .fileio import atomic_write_text, read_text
 
 
 class SingularMatrixError(ValueError):
@@ -250,7 +250,7 @@ def write_matrix_text(path: str | Path, a, comment: str | None = None) -> None:
 
 
 def read_matrix_text(path: str | Path) -> np.ndarray:
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     rows = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
     rows = [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
     if not rows:
@@ -276,7 +276,7 @@ def write_named_blocks(path: str | Path, blocks: list[tuple[str, np.ndarray]]) -
 
 def read_named_blocks(path: str | Path) -> list[tuple[str, np.ndarray]]:
     source = str(path)
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_text(path)
     heads = []  # (header lineno, name, rows, cols, that block's numbered rows)
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

@@ -194,6 +194,45 @@ class TestExitCodes:
         assert message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "source, message",
+        [
+            ("dataset.csv", "bad csv: {dir}/out/dataset.csv:5: not UTF-8 text"),
+            ("dataset.posterior.csv",
+             "bad csv: {dir}/out/dataset.posterior.csv:5: not UTF-8 text"),
+            ("data.path", "config error: data.path: {dir}/out/dataset.csv:5: not UTF-8 text"),
+        ],
+        ids=["dataset", "posterior", "data-path"],
+    )
+    def test_non_utf8_dataset_byte(self, tmp_path, capsys, source, message):
+        # A stray 0xff byte used to end in a UnicodeDecodeError traceback.
+        cfg = write_cfg(tmp_path, TINY)
+        assert run("generate", "--config", cfg) == 0
+        path = tmp_path / "out" / ("dataset.csv" if source == "data.path" else source)
+        lines = path.read_bytes().split(b"\n")
+        lines[4] += b"\xff"
+        path.write_bytes(b"\n".join(lines))
+        command = "corrupt"
+        if source == "data.path":
+            text = TINY.replace("data.generator = simplex", "data.generator = csv")
+            cfg = write_cfg(tmp_path, text + f"data.path = {path}\n", out="user")
+            command = "generate"
+        capsys.readouterr()
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert message.replace("{dir}", str(tmp_path)) in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "dataset_noisy.csv").exists()
+
+    @pytest.mark.parametrize("command", sorted(cli.COMMANDS))
+    def test_non_utf8_config_byte(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, TINY)
+        cfg.write_bytes(cfg.read_bytes().replace(b"corner-rich", b"corner\xffrich"))
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {cfg}:4: not UTF-8 text" in err
+        assert "Traceback" not in err
+
     def test_malformed_user_csv(self, tmp_path, capsys):
         src = tmp_path / "mine.csv"
         src.write_text("x0,x1,y_clean\n0.5,0.5,1\n0.5,0.5,one\n", encoding="utf-8")
@@ -327,9 +366,9 @@ class TestExitCodes:
         "command, lines, message",
         [
             ("check-scattered", ["geometry.anchor_delta = 2"],
-             "geometry.anchor_delta must be in [0, 1], got 2.0"),
+             "exp.cfg:14: bad value for geometry.anchor_delta: must be in [0, 1], got 2.0"),
             ("sweep", ["data.generator = gaussian", "data.d = -1"],
-             "data.d must be >= 0, got -1"),
+             "exp.cfg:14: bad value for data.d: must be >= 0, got -1"),
         ],
         ids=["anchor-delta-above-one", "gaussian-negative-d"],
     )
@@ -343,6 +382,25 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert message in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("geometry.witness_tol = -1",
+             "exp.cfg:14: bad value for geometry.witness_tol: must be >= 0, got -1.0"),
+            ("geometry.coverage_tol = 0",
+             "exp.cfg:14: bad value for geometry.coverage_tol: must be > 0, got 0.0"),
+        ],
+        ids=["witness-tol-negative", "coverage-tol-zero"],
+    )
+    def test_bad_scatter_tolerance_writes_no_report(self, tmp_path, capsys, line, message):
+        # Each used to write a wrong report and exit 0: a negative witness_tol
+        # hid the rotation witness, a zero coverage_tol failed every ray.
+        cfg = write_cfg(tmp_path, TINY + line + "\n")
+        assert run("check-scattered", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert message in err
+        assert not (tmp_path / "out" / "scatter_report.txt").exists()
 
     @pytest.mark.parametrize(
         "command, line, message",
@@ -369,7 +427,7 @@ class TestExitCodes:
             (
                 TINY.replace("trials.seeds = 0", "trials.seeds = -1"),
                 (),
-                "trials.seeds must be non-negative",
+                "exp.cfg:13: bad value for trials.seeds: must be non-negative, got -1",
             ),
             (TINY, ("--seed", -3), "config error: --seed must be non-negative, got -3"),
         ],

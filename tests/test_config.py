@@ -1,7 +1,10 @@
 """Config parsing tests: protocol-constant defaults, the line format,
-line-numbered rejections, cross-field validation, and the typed views."""
+line-numbered rejections, each key's range, cross-field validation, the
+typed views, and the README's key table."""
 
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -173,11 +176,11 @@ class TestCrossValidation:
             config.parse_config("noise.kind = custom\n")
 
     def test_classes_lower_bound(self):
-        with pytest.raises(config.ConfigError, match="classes must be >= 2"):
+        with pytest.raises(config.ConfigError, match=r"data\.classes: must be >= 2, got 1$"):
             config.parse_config("data.classes = 1\n")
 
     def test_cap_range(self):
-        with pytest.raises(config.ConfigError, match=r"cap must be in \(0, 1\]"):
+        with pytest.raises(config.ConfigError, match=r"data\.cap: must be in \(0, 1\], got 1\.5$"):
             config.parse_config("data.cap = 1.5\n")
 
     def test_simplex_cap_exceeds_uniform(self):
@@ -192,31 +195,38 @@ class TestCrossValidation:
         config.parse_config("data.generator = gaussian\ndata.cap = 0.3\n")
 
     def test_remove_anchor_fraction_range(self):
-        with pytest.raises(config.ConfigError, match=r"remove_anchor_fraction must be in"):
+        with pytest.raises(
+            config.ConfigError, match=r"remove_anchor_fraction: must be in \[0, 1\), got 1\.0$"
+        ):
             config.parse_config("data.remove_anchor_fraction = 1.0\n")
 
     def test_val_fraction_range(self):
-        with pytest.raises(config.ConfigError, match=r"val_fraction must be in \(0, 1\)"):
+        with pytest.raises(
+            config.ConfigError, match=r"val_fraction: must be in \(0, 1\), got 0\.0$"
+        ):
             config.parse_config("train.val_fraction = 0\n")
 
     def test_epochs_positive(self):
-        with pytest.raises(config.ConfigError, match="must be positive"):
+        with pytest.raises(config.ConfigError, match=r"train\.epochs: must be >= 1, got 0$"):
             config.parse_config("train.epochs = 0\n")
 
     def test_alpha_range(self):
-        with pytest.raises(config.ConfigError, match=r"alpha must be in \(0, 100\)"):
+        with pytest.raises(config.ConfigError, match=r"alpha: must be in \(0, 100\), got 100\.0$"):
             config.parse_config("estimators.alpha = 100\n")
 
     @pytest.mark.parametrize(
         "line, message",
         [
-            ("train.hidden = 0", r"train\.hidden must list at most two positive widths, got 0$"),
-            ("train.hidden = 4,4,4", r"train\.hidden .* got 4,4,4$"),
-            ("train.lr_schedule = 1:0", r"train\.lr_schedule divisors must be positive"),
-            ("geometry.rays = 0", r"geometry\.rays and geometry\.trials must be positive"),
-            ("geometry.trials = 0", r"geometry\.rays and geometry\.trials must be positive"),
-            ("geometry.anchor_delta = 2", r"geometry\.anchor_delta must be in \[0, 1\], got 2\.0$"),
-            ("data.generator = gaussian\ndata.d = -1", r"data\.d must be >= 0, got -1$"),
+            ("train.hidden = 0", r"train\.hidden: must list at most two positive widths, got 0$"),
+            ("train.hidden = 4,4,4", r"train\.hidden: .* got 4,4,4$"),
+            ("train.lr_schedule = 1:0",
+             r"train\.lr_schedule: divisors must be positive, got '1:0'$"),
+            ("geometry.rays = 0", r"geometry\.rays: must be >= 1, got 0$"),
+            ("geometry.trials = 0", r"geometry\.trials: must be >= 1, got 0$"),
+            ("geometry.anchor_delta = 2",
+             r"geometry\.anchor_delta: must be in \[0, 1\], got 2\.0$"),
+            ("data.generator = gaussian\ndata.d = -1",
+             r"<text>:2: bad value for data\.d: must be >= 0, got -1$"),
         ],
         ids=["hidden-zero", "hidden-three-layers", "schedule-zero-divisor",
              "rays-zero", "trials-zero", "anchor-delta-above-one", "gaussian-negative-d"],
@@ -238,16 +248,73 @@ class TestCrossValidation:
 
     def test_seeds_non_negative(self):
         with pytest.raises(
-            config.ConfigError, match=r"^<text>: trials\.seeds must be non-negative, got -1$"
+            config.ConfigError,
+            match=r"^<text>:1: bad value for trials\.seeds: must be non-negative, got -1$",
         ):
             config.parse_config("trials.seeds = 0, -1\n")
 
     def test_constructed_config_is_validated(self):
-        # A config built from overridden values passes the same checks.
+        # A config built from overridden values passes the same cross-key checks.
         values = config.default_config().values
-        values["trials"]["seeds"] = (-3,)
-        with pytest.raises(config.ConfigError, match="trials.seeds must be non-negative"):
+        values["data"]["generator"] = "csv"
+        with pytest.raises(config.ConfigError, match="exp.cfg: data.generator = csv requires"):
             config.ExperimentConfig(values=values, source="exp.cfg")
+
+
+# One out-of-range value per key whose schema entry owns a range, and the
+# rule its message states.
+KEY_RANGES = [
+    ("data.classes", "1", "must be >= 2, got 1"),
+    ("data.n", "0", "must be >= 1, got 0"),
+    ("data.d", "-1", "must be >= 0, got -1"),
+    ("data.cap", "0", "must be in (0, 1], got 0.0"),
+    ("data.remove_anchor_fraction", "-0.1", "must be in [0, 1), got -0.1"),
+    ("train.epochs", "0", "must be >= 1, got 0"),
+    ("train.batch_size", "-4", "must be >= 1, got -4"),
+    ("train.hidden", "8, 0", "must list at most two positive widths, got 8, 0"),
+    ("train.classifier_momentum", "5", "must be in [0, 1), got 5.0"),
+    ("train.transition_momentum", "-0.5", "must be in [0, 1), got -0.5"),
+    ("train.lr_schedule", "5:2, 9:-1", "divisors must be positive, got '9:-1'"),
+    ("train.val_fraction", "1", "must be in (0, 1), got 1.0"),
+    ("estimators.alpha", "0", "must be in (0, 100), got 0.0"),
+    ("geometry.rays", "0", "must be >= 1, got 0"),
+    ("geometry.trials", "-2", "must be >= 1, got -2"),
+    ("geometry.coverage_tol", "0", "must be > 0, got 0.0"),
+    ("geometry.witness_tol", "-1", "must be >= 0, got -1.0"),
+    ("geometry.anchor_delta", "-0.5", "must be in [0, 1], got -0.5"),
+    ("trials.seeds", "3, 3", "must not list a repeated seed, got 3,3"),
+]
+
+
+class TestKeyRanges:
+    @pytest.mark.parametrize("key, value, rule", KEY_RANGES, ids=[k for k, _, _ in KEY_RANGES])
+    def test_out_of_range_names_file_line_and_key(self, tmp_path, key, value, rule):
+        p = tmp_path / "exp.cfg"
+        p.write_text(f"# ranges\noutput.dir = out\n{key} = {value}\n", encoding="utf-8")
+        with pytest.raises(config.ConfigError) as err:
+            config.load_config(p)
+        assert str(err.value) == f"{p}:3: bad value for {key}: {rule}"
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "data.cap = 1",
+            "data.remove_anchor_fraction = 0",
+            "data.d = 0",
+            "train.classifier_momentum = 0",
+            "train.transition_momentum = 0",
+            "geometry.coverage_tol = 1e-300",
+            "geometry.witness_tol = 0",
+            "geometry.anchor_delta = 0",
+            "geometry.anchor_delta = 1",
+            "trials.seeds = 0",
+        ],
+    )
+    def test_closed_ends_and_open_neighbours_accepted(self, line):
+        key, _, value = line.partition(" = ")
+        section, _, name = key.partition(".")
+        parse, _ = config.SCHEMA[section][name]
+        assert config.parse_config(line + "\n").get(section, name) == parse(value)
 
 
 class TestTypedViews:
@@ -311,6 +378,37 @@ class TestLoadConfig:
         with pytest.raises(config.ConfigError, match="bad.cfg:1: unknown key"):
             config.load_config(bad)
 
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_bytes(b"data.classes = 4\r\n# caf\xff\r\n")
+        with pytest.raises(config.ConfigError, match=r"exp\.cfg:2: not UTF-8 text$"):
+            config.load_config(p)
+
+    def test_crlf_text_kept_as_read(self, tmp_path):
+        p = tmp_path / "exp.cfg"
+        p.write_bytes(b"data.classes = 4\r\ndata.n = 50\r\n")
+        cfg = config.load_config(p)
+        assert cfg.raw == "data.classes = 4\ndata.n = 50\n"
+        assert cfg.get("data", "n") == 50
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(config.ConfigError, match="cannot read config"):
             config.load_config(tmp_path / "absent.cfg")
+
+
+class TestReadmeKeyTable:
+    def test_every_key_once_with_its_default(self):
+        # The README's config table is the user's reference: each schema key
+        # appears once, and its default cell parses to the schema default.
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        rows = [
+            [cell.strip() for cell in line.split("|")[1:-1]]
+            for line in readme.read_text(encoding="utf-8").splitlines()
+            if re.match(r"\| [a-z]+\.[a-z_]+ \|", line)
+        ]
+        keys = [f"{section}.{key}" for section, names in config.SCHEMA.items() for key in names]
+        assert sorted(row[0] for row in rows) == sorted(keys)
+        for name, default_cell, *_ in rows:
+            section, _, key = name.partition(".")
+            parse, default = config.SCHEMA[section][key]
+            assert parse(default_cell) == default, name
