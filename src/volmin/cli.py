@@ -14,10 +14,12 @@ seeds, library versions, and wall time. All other outputs are deterministic
 functions of the config, so re-running a command reproduces them byte for
 byte; manifest.txt is the one exception, since it records wall time.
 
-Exit codes: 0 success, 2 config error (including missing or malformed
-upstream artifacts, malformed dataset CSVs, missing or malformed files that
-config keys name, empty splits, and a class left empty under data.balance),
-3 numerical failure (non-finite training abort or a singular matrix). The
+Exit codes: 0 success, 2 config error (including missing, unreadable or
+malformed upstream artifacts and dataset CSVs, missing or malformed files
+that config keys name, an output directory that cannot be created, empty
+splits, and a class left empty under data.balance), 3 numerical failure (a
+training run's non-finite loss or weights or singular transition; the
+message names the seed and the run, as in `seed 0 volmin: ...`). The
 environment variable VOLMIN_THREADS caps how many sweep trials run in
 parallel; unset or 1 means sequential.
 """
@@ -49,12 +51,12 @@ from . import (
 
 
 class ArtifactError(Exception):
-    """An input file a previous pipeline stage should have produced is absent
-    or malformed."""
+    """An input file a previous pipeline stage should have produced is absent,
+    unreadable or malformed."""
 
 
 class NumericalFailure(RuntimeError):
-    """Training aborted on non-finite values or a singular transition."""
+    """A training run met non-finite values or a singular transition."""
 
 
 # ---------------------------------------------------------------------------
@@ -168,19 +170,22 @@ def _splits(cfg, ds_noisy, seed, with_test):
     return train_set, val_set, test_set
 
 
-def _check_trained(res: trainer.TrainResult, label: str) -> trainer.TrainResult:
-    if res.history.aborted is not None:
-        raise NumericalFailure(f"{label}: {res.history.aborted}")
-    return res
+@contextlib.contextmanager
+def _training(label: str):
+    """A numerical failure in training run `label` raises NumericalFailure."""
+    try:
+        yield
+    except (FloatingPointError, linalg.SingularMatrixError) as exc:
+        raise NumericalFailure(f"{label}: {exc}") from None
 
 
 def _train_volmin(cfg, seed, out_dir, train_set, val_set, t_true) -> trainer.TrainResult:
     """Joint training; writes history.csv, estimated_transition.txt,
     transition_weights.txt and classifier.txt."""
-    res = _check_trained(
-        trainer.train(train_set, val_set, cfg.train_config(seed), true_transition=t_true),
-        f"seed {seed} volmin",
-    )
+    with _training(f"seed {seed} volmin"):
+        res = trainer.train(
+            train_set, val_set, cfg.train_config(seed), true_transition=t_true
+        )
     fileio.atomic_write_text(out_dir / "history.csv", res.history.to_csv())
     comment = "estimated transition (joint training)"
     if t_true is not None:
@@ -207,10 +212,10 @@ def _estimate_anchor(
     """Fit the noisy posterior, then estimate T with each configured anchor
     method; writes classifier_noisy.txt, one estimated_transition_<method>.txt
     each and error_report.txt. Returns the fit and the estimates by method."""
-    params = _check_trained(
-        estimators.fit_noisy_posterior(train_set, val_set, cfg.train_config(seed)),
-        f"seed {seed} noisy-posterior fit",
-    ).params
+    with _training(f"seed {seed} noisy-posterior fit"):
+        params = estimators.fit_noisy_posterior(
+            train_set, val_set, cfg.train_config(seed)
+        ).params
     model.save_classifier(out_dir / "classifier_noisy.txt", params)
     estimates, report = {}, []
     for method in _anchor_methods(cfg):
@@ -265,7 +270,10 @@ def _read_required(cfg, path: Path, producer: str) -> data.Dataset:
             f"missing upstream artifact {path}; run `volmin {producer}` with the "
             f"same config first"
         )
-    return data.read_csv(path, cfg.get("data", "classes"))
+    try:
+        return data.read_csv(path, cfg.get("data", "classes"))
+    except OSError as exc:
+        raise ArtifactError(f"cannot read {exc.filename}: {exc.strerror}") from None
 
 
 def _noisy_splits(cfg, out_dir: Path):
@@ -533,7 +541,11 @@ def main(argv=None) -> int:
     try:
         cfg = _apply_overrides(config.load_config(args.config), args.out, args.seed)
         out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            key = "output.dir" if args.out is None else "--out"
+            raise config.ConfigError(f"{key}: cannot create {out_dir}: {exc.strerror}")
         fileio.atomic_write_text(out_dir / "config.txt", cfg.raw)
         start = time.perf_counter()
         inputs = args.fn(cfg, out_dir)

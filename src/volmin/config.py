@@ -273,7 +273,9 @@ def parse_config(text: str, source: str = "<text>") -> ExperimentConfig:
     offending line number."""
     values = {section: dict() for section in SCHEMA}
     seen = set()
-    for lineno, raw_line in enumerate(text.splitlines(), start=1):
+    # Lines end at LF, CRLF or CR only (str.splitlines also breaks at form feed).
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, raw_line in enumerate(lines, start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue

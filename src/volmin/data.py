@@ -332,10 +332,10 @@ def write_csv(path, ds: Dataset) -> None:
 
 
 def _read_lines(path) -> list[str]:
-    raw = read_text(path, CsvError).splitlines()
-    if not raw:
+    text = read_text(path, CsvError)
+    if not text:
         raise CsvError(f"{path}:1: empty file")
-    return raw
+    return text.split("\n")
 
 
 def _parse_table(raw: list[str], width: int, floats: int, path):

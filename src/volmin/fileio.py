@@ -30,7 +30,8 @@ def read_text(path: str | Path, error: type[ValueError] = ValueError) -> str:
     try:
         text = blob.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = blob.count(b"\n", 0, exc.start) + 1
+        head = blob[: exc.start].replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+        line = head.count(b"\n") + 1
         raise error(f"{path}:{line}: not UTF-8 text") from None
     return text.replace("\r\n", "\n").replace("\r", "\n") if "\r" in text else text
 

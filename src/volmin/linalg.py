@@ -251,7 +251,7 @@ def write_matrix_text(path: str | Path, a, comment: str | None = None) -> None:
 
 def read_matrix_text(path: str | Path) -> np.ndarray:
     text = read_text(path)
-    rows = [(lineno, raw.strip()) for lineno, raw in enumerate(text.splitlines(), 1)]
+    rows = [(lineno, raw.strip()) for lineno, raw in enumerate(text.split("\n"), 1)]
     rows = [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
     if not rows:
         raise ValueError(f"{path}: no matrix rows found")
@@ -278,7 +278,7 @@ def read_named_blocks(path: str | Path) -> list[tuple[str, np.ndarray]]:
     source = str(path)
     text = read_text(path)
     heads = []  # (header lineno, name, rows, cols, that block's numbered rows)
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.startswith("# block:"):
             parts = line[len("# block:") :].split()

@@ -32,7 +32,8 @@ to move the transition by itself (see `TrainConfig`):
 
 Determinism: given a seed and a config, the run is bit-reproducible. The
 per-epoch shuffle stream is derived from (seed, epoch); no other randomness
-is consumed after initialization.
+is consumed after initialization. A numerical failure raises out of `train`
+(see there), which the CLI maps to exit 3 naming the seed and the run.
 """
 
 from __future__ import annotations
@@ -159,40 +160,39 @@ class StepStats:
 
 def loss_and_grads(
     params: model.ClassifierParams,
-    tt: transition.TrainableTransition | None,
+    tt: transition.TrainableTransition | np.ndarray,
     x: np.ndarray,
     y: np.ndarray | None,
     lam: float,
-    fixed_transition: np.ndarray | None = None,
     soft_targets: np.ndarray | None = None,
     natural: bool = False,
     fixed_logdet: tuple[float, float] | None = None,
     _grad_out: tuple[list[np.ndarray], list[np.ndarray]] | None = None,
 ):
-    """Loss and exact gradients for one batch.
+    """Loss and exact gradients for one batch, composed through `tt`.
 
-    Fidelity is the mean negative log of the composed probability assigned
-    to each target; `soft_targets` (rows on the simplex) replaces hard
-    labels with an expected cross-entropy when given. The volume term
-    lam * log|det| is added whenever lam != 0 (with gradient
-    lam * inverse-transpose flowing to the transition when it is trainable).
-    With `natural`, the transition gradient is replaced by the gates'
-    natural-gradient direction (`transition.backward`). `fixed_logdet`, when
-    given, is `linalg.signed_logdet(fixed_transition)`, so that a caller
-    stepping many batches against one fixed matrix factors it once. A
-    trainable transition is validated and realized once per call, and its
-    backward reuses the realization's gates and column sums; a fixed one
-    gets no gradient at all. `_grad_out`, (weight, bias) arrays shaped like
-    the classifier's, receives its gradients in place.
+    `tt` is a TrainableTransition, validated and realized once per call and
+    differentiated from that realization's gates and column sums, or a
+    realized matrix held fixed, which gets no gradient at all. Fidelity is
+    the mean negative log of the composed probability assigned to each
+    target; `soft_targets` (rows on the simplex) replaces hard labels with
+    an expected cross-entropy when given. The volume term lam * log|det| is
+    added whenever lam != 0 (its gradient lam * inverse-transpose flows to a
+    trainable transition); a singular transition then raises
+    linalg.SingularMatrixError. With `natural`, the transition gradient is
+    the gates' natural-gradient direction (`transition.backward`).
+    `fixed_logdet`, when given, is `linalg.signed_logdet` of a fixed `tt`,
+    so that a caller stepping many batches against one matrix factors it
+    once. `_grad_out`, (weight, bias) arrays shaped like the classifier's,
+    receives its gradients in place.
 
     Returns (stats, grad_weights_or_None, (grad_ws, grad_bs)).
     """
-    if (tt is None) == (fixed_transition is None):
-        raise ValueError("exactly one of tt / fixed_transition must be given")
-    if tt is not None:
+    trainable = isinstance(tt, transition.TrainableTransition)
+    if trainable:
         t_hat, gates, sums = transition._forward_cached(tt)
     else:
-        t_hat = fixed_transition
+        t_hat = tt
     probs, acts = model._forward_cached(params, x)
     q = probs @ t_hat.T
     n = x.shape[0]
@@ -214,10 +214,10 @@ def loss_and_grads(
         # product with t_hat is a row gather.
         grad_probs = t_hat[y]
         grad_probs *= g[:, None]
-        if tt is not None:
+        if trainable:
             grad_q = np.zeros_like(q)
             grad_q[rows, y] = g
-    if tt is not None:
+    if trainable:
         grad_t = grad_q.T @ probs
 
     loss = fidelity
@@ -232,12 +232,12 @@ def loss_and_grads(
                 "realized transition is numerically singular"
             )
         loss = fidelity + lam * logabs
-        if tt is not None:
+        if trainable:
             grad_t = grad_t + lam * linalg.inverse_transpose(t_hat)
 
     grad_w = (
         transition._backward_cached(t_hat, gates, sums, grad_t, natural)
-        if tt is not None else None
+        if trainable else None
     )
     grad_ws, grad_bs = model._backward_cached(
         params, acts, probs, grad_probs, _grad_out
@@ -301,7 +301,6 @@ class EpochRow:
 @dataclass
 class TrainHistory:
     rows: list[EpochRow] = field(default_factory=list)
-    aborted: str | None = None
 
     def to_csv(self) -> str:
         lines = ["epoch,fidelity,logdet_sign,logabsdet,est_error,val_metric,det_sign_events"]
@@ -312,8 +311,6 @@ class TrainHistory:
                 f"{r.epoch},{repr(r.fidelity)},{repr(r.logdet_sign)},"
                 f"{repr(r.logabsdet)},{est},{val},{r.det_sign_events}"
             )
-        if self.aborted:
-            lines.append(f"# aborted: {self.aborted}")
         return "\n".join(lines) + "\n"
 
 
@@ -353,9 +350,9 @@ def train(
     classifier steps with `config.head_opt` when that is set. The sparsemax
     head is refused with a fixed transition that has a zero entry.
 
-    A non-finite loss or a singular realized transition aborts the run: the
-    last completed epoch's selection stands, and the returned history carries
-    the diagnostic.
+    A non-finite loss raises FloatingPointError naming its epoch and batch,
+    non-finite classifier or transition weights raise it naming the epoch,
+    and a singular realized transition raises linalg.SingularMatrixError.
 
     Ties in the selection metric resolve to the LATEST epoch attaining the
     maximum (the transition keeps converging after the metric plateaus).
@@ -407,6 +404,7 @@ def train(
     # During the warm-up the transition is a constant, stepped like a fixed one.
     frozen = fixed_transition if tt is None else transition.realize(tt)
     frozen_logdet = linalg.signed_logdet(frozen)
+    t_hat = frozen
 
     head_opt = config.head_opt or config.classifier_opt
     # Weight decay never touches the transition weights.
@@ -416,7 +414,7 @@ def train(
 
     history = TrainHistory()
     best_metric = -np.inf
-    best_params = best_weights = None
+    best_params = best_weights = best_t = None
     best_epoch = 0
 
     for epoch in range(1, config.epochs + 1):
@@ -431,10 +429,7 @@ def train(
                 )
                 tt = confusion_start(params, x_train, targets, frozen)
                 opt_w = OptimizerState(transition_opt, tt.weights)
-        stepped = None if epoch <= warmup else tt
-        # The start of the epoch, restored if it aborts with no epoch selected.
-        snap_theta = theta.copy()
-        snap_weights = None if stepped is None else tt.weights.copy()
+        joint = tt is not None and epoch > warmup
         scale = lr_scale_at(config.lr_schedule, epoch)
         order = np.random.default_rng(
             [config.seed, _SHUFFLE_STREAM, epoch]
@@ -445,41 +440,36 @@ def train(
         s_epoch = None if soft_targets is None else soft_targets[order]
         fid_sum = 0.0
         sign_events = 0
-        try:
-            for start in range(0, n, config.batch_size):
-                batch = slice(start, start + config.batch_size)
-                xb = x_epoch[batch]
-                yb = None if y_epoch is None else y_epoch[batch]
-                sb = None if s_epoch is None else s_epoch[batch]
-                stats, grad_w, _ = loss_and_grads(
-                    params, stepped, xb, yb, config.lam,
-                    fixed_transition=frozen if stepped is None else None,
-                    soft_targets=sb, natural=True,
-                    fixed_logdet=frozen_logdet if stepped is None else None,
-                    _grad_out=grad_views,
+        for start in range(0, n, config.batch_size):
+            batch = slice(start, start + config.batch_size)
+            xb = x_epoch[batch]
+            yb = None if y_epoch is None else y_epoch[batch]
+            sb = None if s_epoch is None else s_epoch[batch]
+            stats, grad_w, _ = loss_and_grads(
+                params, tt if joint else frozen, xb, yb, config.lam,
+                soft_targets=sb, natural=True,
+                fixed_logdet=None if joint else frozen_logdet,
+                _grad_out=grad_views,
+            )
+            if not math.isfinite(stats.loss):
+                raise FloatingPointError(
+                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
                 )
-                if not math.isfinite(stats.loss):
+            fid_sum += stats.fidelity * len(xb)
+            sign_events += stats.det_sign_events
+            opt_theta.step(theta, grad_theta, scale)
+            if joint:
+                opt_w.step(tt.weights, grad_w, scale)
+                if not np.isfinite(tt.weights).all():
                     raise FloatingPointError(
-                        f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
+                        f"non-finite transition weights at epoch {epoch}"
                     )
-                fid_sum += stats.fidelity * len(xb)
-                sign_events += stats.det_sign_events
-                opt_theta.step(theta, grad_theta, scale)
-                if stepped is not None:
-                    opt_w.step(tt.weights, grad_w, scale)
-                    if not np.isfinite(tt.weights).all():
-                        raise FloatingPointError(
-                            f"non-finite transition weights at epoch {epoch}"
-                        )
-                if not np.isfinite(theta[:weight_count]).all():
-                    raise FloatingPointError(
-                        f"non-finite classifier weights at epoch {epoch}"
-                    )
-        except (FloatingPointError, linalg.SingularMatrixError) as exc:
-            history.aborted = str(exc)
-            break
+            if not np.isfinite(theta[:weight_count]).all():
+                raise FloatingPointError(
+                    f"non-finite classifier weights at epoch {epoch}"
+                )
 
-        t_hat = transition.realize(tt) if tt is not None else fixed_transition
+        t_hat = frozen if tt is None else transition.realize(tt)
         sign, logabs = linalg.signed_logdet(t_hat)
         est = (
             noise.estimation_error(true_transition, t_hat)
@@ -496,28 +486,21 @@ def train(
             best_metric = metric
             best_params = params.copy()
             best_weights = None if tt is None else tt.weights.copy()
+            best_t = t_hat
             best_epoch = epoch
 
     if best_epoch == 0:
-        # No epoch was ever selected (empty validation set, zero epochs, or
-        # an abort): fall back to the last-good state -- the start of the
-        # aborted epoch, or the final state of a clean run.
-        if history.aborted is not None:
-            theta[:] = snap_theta
-            if snap_weights is not None:
-                tt.weights[:] = snap_weights
+        # No epoch was selected (an empty validation set or zero epochs):
+        # the final state stands.
         best_params = params.copy()
         best_weights = None if tt is None else tt.weights.copy()
+        best_t = t_hat
         best_epoch = len(history.rows)
 
-    if best_weights is not None:
-        final_t = transition.realize(transition.TrainableTransition(best_weights))
-    else:
-        final_t = np.array(fixed_transition, dtype=np.float64)
     return TrainResult(
         params=best_params,
         transition_weights=best_weights,
-        transition=final_t,
+        transition=best_t,
         history=history,
         best_epoch=best_epoch,
     )

@@ -28,6 +28,15 @@ trials.seeds = 0
 """
 
 
+# Astronomically large classifier steps overflow the weights within the
+# first epoch, in the joint run and in the noisy-posterior fit's warm-up.
+BLOWUP = TINY.replace("train.hidden = 8", "train.hidden = ").replace(
+    "train.epochs = 4",
+    "train.epochs = 2\ntrain.classifier_lr = 2e154\n"
+    "train.classifier_weight_decay = 1e154",
+)
+
+
 def write_cfg(tmp_path, text, name="exp.cfg", out="out"):
     text = text + f"output.dir = {tmp_path / out}\n"
     p = tmp_path / name
@@ -146,21 +155,91 @@ class TestExitCodes:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_numerical_failure(self, tmp_path, capsys):
-        # Astronomically large classifier steps overflow the weights; the
-        # trainer aborts and the CLI maps that to exit 3.
-        blowup = TINY.replace("train.hidden = 8", "train.hidden = ")
-        blowup = blowup.replace(
-            "train.epochs = 4",
-            "train.epochs = 2\ntrain.classifier_lr = 2e154\n"
-            "train.classifier_weight_decay = 1e154",
-        )
-        cfg = write_cfg(tmp_path, blowup, name="blowup.cfg")
+        # The trainer raises on the overflow and the CLI maps that to exit 3.
+        cfg = write_cfg(tmp_path, BLOWUP, name="blowup.cfg")
         run("generate", "--config", cfg)
         run("corrupt", "--config", cfg)
         assert run("train-volmin", "--config", cfg) == 3
         err = capsys.readouterr().err
         assert "numerical failure" in err
         assert "non-finite" in err
+        assert not (tmp_path / "out" / "history.csv").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_numerical_failure_crosses_the_process_pool(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The failure is raised in a sweep trial, so with VOLMIN_THREADS = 2
+        # it must pickle back from the worker process with its message.
+        cfg = write_cfg(tmp_path, BLOWUP.replace("trials.seeds = 0", "trials.seeds = 0, 1"))
+        errs = []
+        for threads in ("1", "2"):
+            monkeypatch.setenv("VOLMIN_THREADS", threads)
+            assert run("sweep", "--config", cfg, "--out", tmp_path / threads) == 3
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert errs[0].startswith("volmin: numerical failure: seed 0 volmin: non-finite ")
+        assert "Traceback" not in errs[0]
+        monkeypatch.delenv("VOLMIN_THREADS")
+        assert run("generate", "--config", cfg) == 0
+        assert run("corrupt", "--config", cfg) == 0
+        capsys.readouterr()
+        assert run("estimate-anchor", "--config", cfg) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            "volmin: numerical failure: seed 0 noisy-posterior fit: non-finite "
+        )
+        assert not (tmp_path / "out" / "classifier_noisy.txt").exists()
+
+    @pytest.mark.parametrize(
+        "command, make, message",
+        [
+            ("corrupt", "dataset.csv", "cannot read {out}/dataset.csv: Is a directory"),
+            ("corrupt", "dataset.posterior.csv",
+             "cannot read {out}/dataset.posterior.csv: Is a directory"),
+            ("check-scattered", "dataset.posterior.csv",
+             "cannot read {out}/dataset.posterior.csv: Is a directory"),
+        ],
+        ids=["dataset", "posterior", "scatter-posterior"],
+    )
+    def test_upstream_artifact_is_a_directory(self, tmp_path, capsys, command, make, message):
+        # The OS refuses the file (IsADirectoryError); the message names the
+        # file it refused, which may be the posterior sibling.
+        cfg = write_cfg(tmp_path, TINY)
+        out = tmp_path / "out"
+        if make == "dataset.csv":
+            (out / make).mkdir(parents=True)
+        else:
+            assert run("generate", "--config", cfg) == 0
+            (out / make).unlink()
+            (out / make).mkdir()
+        capsys.readouterr()
+        assert run(command, "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err == f"volmin: {message.replace('{out}', str(out))}\n"
+        assert not (out / "dataset_noisy.csv").exists()
+
+    @pytest.mark.parametrize("where", ["config", "override"])
+    @pytest.mark.parametrize(
+        "target, reason",
+        [("outfile", "File exists"), ("outfile/sub", "Not a directory")],
+        ids=["file", "under-a-file"],
+    )
+    def test_output_dir_cannot_be_created(self, tmp_path, capsys, where, target, reason):
+        (tmp_path / "outfile").write_text("", encoding="utf-8")
+        out = tmp_path / target
+        if where == "config":
+            cfg = write_cfg(tmp_path, TINY, out=target)
+            argv, key = (), "output.dir"
+        else:
+            cfg = write_cfg(tmp_path, TINY)
+            argv, key = ("--out", out), "--out"
+        assert run("generate", "--config", cfg, *argv) == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"volmin: config error: {key}: cannot create {out}: {reason}\n"
+        )
 
     def test_anchor_command_needs_anchor_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY + "estimators.methods = volmin\n")

@@ -117,6 +117,18 @@ class TestRejections:
         with pytest.raises(config.ConfigError, match=r"<text>:3: duplicate key data\.classes"):
             config.parse_config("data.classes = 3\n\ndata.classes = 4\n")
 
+    @pytest.mark.parametrize(
+        "text",
+        ["data.n = 5\x0c\ndata.classes = 1\n", "data.n = 5\x0b\x85\u2028\ndata.classes = 1\n",
+         "data.n = 5\rdata.classes = 1\r", "data.n = 5\r\ndata.classes = 1\r\n"],
+        ids=["form-feed", "other-separators", "cr", "crlf"],
+    )
+    def test_line_numbers_count_newlines_only(self, text):
+        # Only LF, CRLF and CR end a line, as in an editor; str.splitlines
+        # also breaks at form feed and put this error on line 3.
+        with pytest.raises(config.ConfigError, match=r"^x\.cfg:2: bad value for data\.classes"):
+            config.parse_config(text, "x.cfg")
+
     def test_bad_int(self):
         with pytest.raises(config.ConfigError, match=r"<text>:1: bad value for data\.classes"):
             config.parse_config("data.classes = many\n")
@@ -382,6 +394,13 @@ class TestLoadConfig:
         p = tmp_path / "exp.cfg"
         p.write_bytes(b"data.classes = 4\r\n# caf\xff\r\n")
         with pytest.raises(config.ConfigError, match=r"exp\.cfg:2: not UTF-8 text$"):
+            config.load_config(p)
+
+    def test_non_utf8_byte_line_counts_cr_line_ends(self, tmp_path):
+        # A lone CR ends a line, as parse_config counts lines.
+        p = tmp_path / "exp.cfg"
+        p.write_bytes(b"data.classes = 4\rdata.n = 50\r# caf\xff\r")
+        with pytest.raises(config.ConfigError, match=r"exp\.cfg:3: not UTF-8 text$"):
             config.load_config(p)
 
     def test_crlf_text_kept_as_read(self, tmp_path):

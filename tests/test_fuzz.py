@@ -51,7 +51,9 @@ def test_config_text_parses_or_names_the_line(text):
         if located is None:
             assert CROSS_KEY.match(message), message
             return
-        line = text.splitlines()[int(located.group(1)) - 1].strip()
+        # Lines end at LF, CRLF or CR only, as parse_config counts them.
+        lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+        line = lines[int(located.group(1)) - 1].strip()
         assert line and not line.startswith("#")
         bad_value = re.match(r"fuzz\.cfg:\d+: bad value for (\S+): ", message)
         if bad_value:

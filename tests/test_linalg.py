@@ -269,8 +269,9 @@ class TestMatrixText:
             ("1.0,2.0\n3.0,inf\n", ":2: non-finite value 'inf'"),
             ("1.0,nan\n3.0,x\n", ":1: non-finite value 'nan'"),
             ("# only a comment\n", ": no matrix rows found"),
+            ("1.0,2.0\x0c\n3.0,oops\n", ":2: bad float 'oops'"),
         ],
-        ids=["bad-float", "ragged", "non-finite", "first-bad-line", "empty"],
+        ids=["bad-float", "ragged", "non-finite", "first-bad-line", "empty", "form-feed"],
     )
     def test_matrix_file_names_first_bad_line_and_token(self, tmp_path, text, message):
         path = tmp_path / "m.txt"

@@ -3,7 +3,8 @@
 The tracer finds the functions it times by name, so a rename in volmin
 would otherwise break only traced benchmark runs. This test loads the
 tracer from its file, traces a tiny staged run and checks that the spans
-nest, add up, and include the step, the optimizer and the forward pass."""
+nest, add up, and include every name the benchmark's per-layer metrics
+read: a name that no longer matches would read 0 without failing."""
 
 import importlib
 import importlib.util
@@ -29,14 +30,26 @@ trials.seeds = 0
 
 # Names the benchmark's per-layer metrics read.
 TRACED = (
+    "trainer.train",
     "trainer.OptimizerState.step",
     "trainer.loss_and_grads",
     "model._forward_cached",
+    "model.forward_batch",
+    "transition.realize",
+    "linalg.signed_logdet",
+    "linalg.inverse_transpose",
+    "linalg.nnls",
+    "estimators.fit_noisy_posterior",
+    "estimators.anchor_estimate_max",
     "noise.corrupt_labels",
     "data.read_csv",
     "data.write_csv",
     "data.gen_simplex_feature",
     "geometry.extreme_columns",
+    "geometry.check_cone_coverage",
+    "geometry.search_rotation_witness",
+    "fileio.atomic_write_text",
+    "fileio.sha256_of_file",
 )
 
 
@@ -57,7 +70,9 @@ def test_traced_staged_run(tmp_path, monkeypatch):
     tracer = tracing.Tracer(modules)
     tracer.install()
     try:
-        for command in ("generate", "corrupt", "check-scattered", "train-volmin"):
+        for command in (
+            "generate", "corrupt", "check-scattered", "train-volmin", "estimate-anchor"
+        ):
             argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
             assert tracer.span(f"cli.{command}", modules["cli"].main, argv) == 0
     finally:

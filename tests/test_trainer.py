@@ -1,6 +1,6 @@
 """Training-loop tests: hand-computed loss values, optimizer step identities,
-finite-difference checks through the composed objective, determinism, abort
-handling, and checkpoint selection."""
+finite-difference checks through the composed objective, determinism, the
+raise on a numerical failure, and checkpoint selection."""
 
 import math
 from dataclasses import replace
@@ -62,9 +62,7 @@ class TestLossValues:
         t = noise.build_transition(noise.NoiseSpec("symmetric", 3, rate=0.3))
         x = rng.dirichlet([1, 1, 1], size=12)
         y = rng.integers(0, 3, size=12)
-        stats, _, _ = trainer.loss_and_grads(
-            params, None, x, y, lam=0.0, fixed_transition=t
-        )
+        stats, _, _ = trainer.loss_and_grads(params, t, x, y, lam=0.0)
         q = model.forward_batch(params, x) @ t.T
         want = -np.log(q[np.arange(12), y]).mean()
         np.testing.assert_allclose(stats.loss, want, atol=1e-12)
@@ -77,10 +75,9 @@ class TestLossValues:
         x = rng.dirichlet([1, 1, 1], size=12)
         y = rng.integers(0, 3, size=12)
         for lam in (0.0, 1e-2):
-            plain = trainer.loss_and_grads(params, None, x, y, lam, fixed_transition=t)
+            plain = trainer.loss_and_grads(params, t, x, y, lam)
             given = trainer.loss_and_grads(
-                params, None, x, y, lam, fixed_transition=t,
-                fixed_logdet=linalg.signed_logdet(t),
+                params, t, x, y, lam, fixed_logdet=linalg.signed_logdet(t)
             )
             assert plain[0] == given[0]
             for a, b in zip(plain[2][0] + plain[2][1], given[2][0] + given[2][1]):
@@ -91,8 +88,7 @@ class TestLossValues:
         x = np.array([[0.3, 0.7]])
         soft = np.array([[0.3, 0.7]])
         stats, _, _ = trainer.loss_and_grads(
-            params, None, x, None, lam=0.0,
-            fixed_transition=np.eye(2), soft_targets=soft,
+            params, np.eye(2), x, None, lam=0.0, soft_targets=soft
         )
         np.testing.assert_allclose(stats.fidelity, math.log(2.0), atol=1e-12)
 
@@ -103,9 +99,7 @@ class TestLossValues:
         )
         x = np.array([[1.0, -1.0]])
         y = np.array([1])  # composed probability underflows to exactly 0
-        stats, _, _ = trainer.loss_and_grads(
-            params, None, x, y, lam=0.0, fixed_transition=np.eye(2)
-        )
+        stats, _, _ = trainer.loss_and_grads(params, np.eye(2), x, y, lam=0.0)
         assert stats.clamp_events == 1
         assert math.isfinite(stats.loss)
         np.testing.assert_allclose(stats.loss, -math.log(trainer.PROB_CLAMP))
@@ -120,17 +114,6 @@ class TestLossValues:
         # Without the volume term the same matrix is usable.
         stats, _, _ = trainer.loss_and_grads(params, tt, x, y, lam=0.0)
         assert math.isfinite(stats.loss)
-
-    def test_exactly_one_transition_source(self):
-        params = uniform_classifier(2, 2)
-        tt = transition.TrainableTransition(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            trainer.loss_and_grads(
-                params, tt, np.zeros((1, 2)), np.array([0]), 0.0,
-                fixed_transition=np.eye(2),
-            )
-        with pytest.raises(ValueError):
-            trainer.loss_and_grads(params, None, np.zeros((1, 2)), np.array([0]), 0.0)
 
 
 class TestLossGradients:
@@ -201,12 +184,12 @@ class TestLossGradients:
 
         def loss_at(params_):
             stats, _, _ = trainer.loss_and_grads(
-                params_, None, x, None, 0.0, fixed_transition=t, soft_targets=soft
+                params_, t, x, None, 0.0, soft_targets=soft
             )
             return stats.loss
 
         _, _, (grad_ws, _) = trainer.loss_and_grads(
-            params, None, x, None, 0.0, fixed_transition=t, soft_targets=soft
+            params, t, x, None, 0.0, soft_targets=soft
         )
         w = params.weights[0]
         for idx in [(0, 0), (3, 1)]:
@@ -330,6 +313,23 @@ class TestTrainLoop:
         for a, b in zip(r1.params.weights, r2.params.weights):
             assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("val_rows", [40, 0], ids=["selected", "no-validation"])
+    def test_result_holds_the_matrix_its_epoch_scored(self, val_rows):
+        # The returned matrix is the realization of the returned weights,
+        # whose estimation error the history recorded at that epoch; with no
+        # validation set nothing is selected and the last epoch stands.
+        ds = toy_dataset(200, classes=3, seed=75, noisy=True)
+        train_set, val_set = ds.subset(np.arange(40, 200)), ds.subset(np.arange(val_rows))
+        t_true = noise.build_transition(noise.NoiseSpec("symmetric", 3, rate=0.2))
+        cfg = trainer.TrainConfig(epochs=trainer.WARMUP_EPOCHS + 3, seed=75, hidden=(8,))
+        res = trainer.train(train_set, val_set, cfg, true_transition=t_true)
+        if not val_rows:
+            assert res.best_epoch == cfg.epochs
+        realized = transition.realize(transition.TrainableTransition(res.transition_weights))
+        assert same_bits(res.transition, realized)
+        row = res.history.rows[res.best_epoch - 1]
+        assert noise.estimation_error(t_true, res.transition) == row.est_error
+
     def test_erm_degenerate_case_learns(self):
         # Fixed identity transition and no volume term: plain ERM must fit
         # separable data quickly. Labels are the posterior argmax, so the
@@ -414,8 +414,8 @@ class TestTrainLoop:
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_loss_aborts_cleanly(self):
         # An absurd weight-decay setting amplifies the weights past the
-        # float range within a step or two; the run must stop with the last
-        # finite snapshot instead of emitting inf/nan rows.
+        # float range within a step or two; the run must raise instead of
+        # emitting inf/nan rows or returning a half-trained result.
         ds = toy_dataset(100, classes=2, seed=81, noisy=True)
         train_set, val_set = data.split(ds, 0.1, seed=81)
         cfg = trainer.TrainConfig(
@@ -423,12 +423,8 @@ class TestTrainLoop:
             classifier_opt=trainer.sgd(2e154, weight_decay=1e154), lam=0.0,
             head="softmax",
         )
-        res = trainer.train(train_set, val_set, cfg, fixed_transition=np.eye(2))
-        assert res.history.aborted is not None
-        assert "non-finite" in res.history.aborted
-        assert "# aborted:" in res.history.to_csv()
-        for w in res.params.weights:
-            assert np.isfinite(w).all()
+        with pytest.raises(FloatingPointError, match=r"^non-finite .* at epoch \d+"):
+            trainer.train(train_set, val_set, cfg, fixed_transition=np.eye(2))
 
     def test_transition_weights_never_decayed(self):
         # A huge weight-decay setting on the transition optimizer must have
@@ -810,7 +806,6 @@ class TestStepMatchesReference:
             )
 
         got = trainer.train(train_set, val_set, cfg, **kwargs)
-        assert got.history.aborted is None
         with monkeypatch.context() as m:
             m.setattr(transition, "_sigmoid", reference_sigmoid)
             m.setattr(transition, "_column_sums", reference_column_sums)
@@ -853,54 +848,39 @@ class TestStepMatchesReference:
             assert same_bits(transition._column_sums(gates), reference_column_sums(gates))
 
 
-class TestAbortFallback:
-    """An aborted run with no selected epoch returns the classifier and the
-    transition weights its aborted epoch started from, bit for bit."""
+class TestNumericalFailure:
+    """A non-finite loss raises out of `train`, naming its epoch and batch,
+    in the warm-up and in the joint phase alike."""
 
     @pytest.mark.parametrize(
-        "abort_epoch", [2, trainer.WARMUP_EPOCHS + 1], ids=["warm-up", "first-joint-epoch"]
+        "fail_epoch", [2, trainer.WARMUP_EPOCHS + 1], ids=["warm-up", "first-joint-epoch"]
     )
-    def test_returns_start_of_aborted_epoch(self, monkeypatch, abort_epoch):
+    def test_non_finite_loss_raises(self, monkeypatch, fail_epoch):
         ds = toy_dataset(200, classes=3, seed=93, noisy=True)
         train_set, val_set = data.split(ds, 0.2, seed=93)
         cfg = trainer.TrainConfig(
             epochs=trainer.WARMUP_EPOCHS + 3, seed=93, hidden=(8,), batch_size=32
         )
         steps = -(-len(train_set.x) // cfg.batch_size)
-        first = (abort_epoch - 1) * steps
+        failing = (fail_epoch - 1) * steps + 2
         real = trainer.loss_and_grads
-        calls, seen = [], {}
+        calls, stepped = [], []
 
         def wrapped(params, tt, *args, **kwargs):
-            # Record the state at the aborted epoch's first and third steps,
-            # and fail the third.
-            call = len(calls)
-            calls.append(call)
-            if call in (first, first + 2):
-                seen[call] = (
-                    [a.copy() for a in params.weights + params.biases],
-                    None if tt is None else tt.weights.copy(),
-                )
+            # Fail the third step of `fail_epoch`; record what it trained.
+            calls.append(None)
             out = real(params, tt, *args, **kwargs)
-            if call == first + 2:
+            if len(calls) - 1 == failing:
+                stepped.append(tt)
                 out[0].loss = float("nan")
             return out
 
         monkeypatch.setattr(trainer, "loss_and_grads", wrapped)
-        res = trainer.train(train_set, val_set, cfg)
-
-        assert res.history.aborted == f"non-finite loss at epoch {abort_epoch}, batch 2"
-        assert res.best_epoch == abort_epoch - 1
-        start_params, start_weights = seen[first]
-        moved_params, moved_weights = seen[first + 2]
-        got = res.params.weights + res.params.biases
-        assert all(same_bits(a, b) for a, b in zip(got, start_params))
-        assert not all(same_bits(a, b) for a, b in zip(got, moved_params))
-        if abort_epoch <= trainer.WARMUP_EPOCHS:
-            # The warm-up steps the classifier alone; the transition keeps
-            # its initial weights.
-            assert start_weights is None
-            assert same_bits(res.transition_weights, transition.init_weights(3).weights)
-        else:
-            assert same_bits(res.transition_weights, start_weights)
-            assert not same_bits(res.transition_weights, moved_weights)
+        with pytest.raises(FloatingPointError) as raised:
+            trainer.train(train_set, val_set, cfg)
+        assert str(raised.value) == f"non-finite loss at epoch {fail_epoch}, batch 2"
+        assert len(calls) == failing + 1
+        # The warm-up steps against the frozen matrix, the joint phase
+        # against the trainable transition.
+        joint = fail_epoch > trainer.WARMUP_EPOCHS
+        assert isinstance(stepped[0], transition.TrainableTransition) == joint
