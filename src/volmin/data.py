@@ -32,6 +32,15 @@ SIMPLEX_PROFILES = ("corner-rich", "edge-scattered", "center-heavy")
 ANCHOR_REMOVAL_PRESETS = (0.4, 0.1)
 
 
+def _off_simplex(p: np.ndarray) -> int | None:
+    """Index of the first row of `p` that is not on the probability
+    simplex, or None when every row is."""
+    dev = np.abs(p.sum(axis=1) - 1.0)
+    if p.size and (p.min() < -1e-9 or dev.max() > 1e-9):
+        return int(np.flatnonzero((p < -1e-9).any(axis=1) | (dev > 1e-9))[0])
+    return None
+
+
 @dataclass
 class Dataset:
     x: np.ndarray
@@ -70,9 +79,7 @@ class Dataset:
             p = np.asarray(self.clean_posterior, dtype=np.float64)
             if p.shape != (n, self.classes):
                 raise ValueError("clean_posterior must be (n, classes)")
-            if p.size and (
-                p.min() < -1e-9 or np.abs(p.sum(axis=1) - 1.0).max() > 1e-9
-            ):
+            if _off_simplex(p) is not None:
                 raise ValueError("clean_posterior rows must lie on the simplex")
             self.clean_posterior = p
 
@@ -338,11 +345,16 @@ def _read_lines(path) -> list[str]:
     return text.split("\n")
 
 
+def _data_linenos(raw: list[str]):
+    """The line numbers of the non-blank data lines after the header, lazily."""
+    return (i for i, line in enumerate(raw[1:], start=2) if line)
+
+
 def _parse_table(raw: list[str], width: int, floats: int, path):
     """`linalg.parse_rows` over the non-blank data lines after the header."""
-    lines = [(lineno, line) for lineno, line in enumerate(raw[1:], start=2) if line]
+    lines = [line for line in raw[1:] if line]
     try:
-        return linalg.parse_rows(lines, path, width, floats)
+        return linalg.parse_rows(lines, _data_linenos(raw), path, width, floats)
     except ValueError as exc:
         raise CsvError(str(exc)) from None
 
@@ -373,7 +385,7 @@ def read_csv(path, classes: int) -> Dataset:
     bad = (y < 0) | (y >= classes)
     if bad.any():
         row, col = np.argwhere(bad.T)[0]
-        lineno = [i for i, line in enumerate(raw[1:], start=2) if line][row]
+        lineno = list(_data_linenos(raw))[row]
         raise CsvError(
             f"{path}:{lineno}: {header[d + col]} label {y[col, row]} is outside "
             f"[0, {classes}) for data.classes = {classes}"
@@ -399,6 +411,10 @@ def read_csv(path, classes: int) -> Dataset:
             posterior = x.copy()
         else:
             posterior, _ = _parse_table(praw, pc, pc, ppath)
+            off = _off_simplex(posterior)
+            if off is not None:
+                lineno = list(_data_linenos(praw))[off]
+                raise CsvError(f"{ppath}:{lineno}: posterior row is not on the simplex")
         if posterior.shape[0] != x.shape[0]:
             raise CsvError(f"{ppath}: row count does not match {path}")
     try:

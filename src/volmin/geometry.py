@@ -7,10 +7,16 @@ simplex). Two properties are probed:
         R = {v : 1^T v >= sqrt(C-1) * ||v||_2}
     is contained in cone(H). R is convex, so testing its extreme
     (boundary) rays suffices; each ray is tested by nonnegative least
-    squares against the columns of H.
+    squares against the columns of H, or certified by a simplicial cone
+    that an earlier ray's NNLS solution spans (check_cone_coverage).
   * rotation rigidity: no real orthogonal Q other than a permutation may
     satisfy Q^T H >= 0. This direction is only falsifiable: a randomized
     search either produces a witness Q or reports that none was found.
+    Its Haar batches after the first are screened by an upper bound on
+    each candidate's score over a column subset (_batch_top).
+
+Neither shortcut changes a report: a certified ray is one the NNLS would
+also cover, and screening ranks exactly the leaders a full scoring ranks.
 
 Also here: the anchor-point check (some column per class with posterior
 entry >= 1 - delta) and the closed-form minimum-volume enclosing
@@ -39,9 +45,17 @@ DEFAULT_ANCHOR_DELTA = 0.05
 # A candidate within this max-abs distance of a signed permutation is the
 # trivial solution, not a witness.
 PERMUTATION_BALL = 1e-6
+# Coverage solves the NNLS for this many rays first; the simplicial cones
+# of their solutions then certify most other rays without one.
+_SEED_RAYS = 32
 # The rotation search hill-climbs its REFINE_TOP best candidates, REFINE_STEPS rounds each.
 REFINE_TOP = 8
 REFINE_STEPS = 60
+# Haar batches after the first are ranked by their minimum over the
+# _SCREEN_COLUMNS lowest columns of each of the first batch's leaders, up
+# to this much rounding slack, before any exact score.
+_SCREEN_COLUMNS = 16
+_SCREEN_SLACK = 1e-12
 
 
 def as_posterior_matrix(h) -> np.ndarray:
@@ -92,17 +106,20 @@ def sample_boundary_rays(classes: int, count: int, seed: int = 0) -> np.ndarray:
 # Extreme-column reduction
 
 def _hull_2d(points: np.ndarray) -> np.ndarray:
-    """Indices of convex hull vertices (monotone chain), collinear dropped."""
+    """Indices of convex hull vertices (monotone chain), collinear dropped.
+
+    The chain runs on Python floats: the same IEEE double products as on
+    numpy scalars, without their per-operation overhead."""
     order = np.lexsort((points[:, 1], points[:, 0]))
-    pts = points[order]
+    pts = points[order].tolist()
 
     def half(rng_):
         out = []
         for i in rng_:
-            p = pts[i]
+            px, py = pts[i]
             while len(out) >= 2:
-                a, b = pts[out[-2]], pts[out[-1]]
-                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) <= 0:
+                (ax, ay), (bx, by) = pts[out[-2]], pts[out[-1]]
+                if (bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0:
                     out.pop()
                 else:
                     break
@@ -139,7 +156,16 @@ def check_cone_coverage(
     h, rays: np.ndarray, tol: float = DEFAULT_COVERAGE_TOL
 ) -> tuple[float, bool]:
     """Fraction of rays representable as nonnegative combinations of H's
-    columns (relative NNLS residual < tol), and whether all of them are."""
+    columns (relative NNLS residual < tol), and whether all of them are.
+
+    The NNLS runs on a seed batch of rays first. Each seed solution with C
+    positive weights names a simplicial cone B inside cone(H), and a later
+    ray r that B holds (weights w = B^-1 r all >= 0 and ||B w - r|| <
+    tol ||r||) is covered without its own NNLS: the NNLS over all of H can
+    only reach a lower residual, so its verdict would be "covered" too.
+    The other rays go through one lockstep NNLS. Below the NNLS exactness
+    floor (tol <= linalg.NNLS_FLOOR) the solver's stopping rule, not the
+    least residual, decides a verdict, so there every ray gets the NNLS."""
     h = as_posterior_matrix(h)
     rays = np.asarray(rays, dtype=np.float64)
     if rays.ndim != 2 or rays.shape[0] == 0 or rays.shape[1] != h.shape[0]:
@@ -148,9 +174,41 @@ def check_cone_coverage(
     bad = np.flatnonzero(~np.isfinite(rays).all(axis=1) | (norms == 0))
     if bad.size:
         raise ValueError(f"ray {bad[0]} is zero or non-finite: {rays[bad[0]]}")
-    _, resid = linalg.nnls(extreme_columns(h), rays.T)
-    frac = int((resid / norms < tol).sum()) / rays.shape[0]
+    basis = extreme_columns(h)
+    covered = np.ones(len(rays), dtype=bool)
+    todo = np.arange(len(rays))
+    if tol > linalg.NNLS_FLOOR and len(rays) > _SEED_RAYS:
+        seeds, todo = todo[:_SEED_RAYS], todo[_SEED_RAYS:]
+        x, resid = linalg.nnls(basis, rays[seeds].T)
+        covered[seeds] = resid / norms[seeds] < tol
+        todo = todo[~_certified(basis, x, rays[todo], norms[todo], tol)]
+    if todo.size:
+        _, resid = linalg.nnls(basis, rays[todo].T)
+        covered[todo] = resid / norms[todo] < tol
+    frac = int(covered.sum()) / len(rays)
     return frac, frac == 1.0
+
+
+def _certified(basis, seed_x, rays, norms, tol) -> np.ndarray:
+    """Mask of the rows of `rays` that a simplicial cone of the seed NNLS
+    solutions (the columns of `seed_x`) holds: B w = r up to a relative
+    residual below `tol`, with w >= 0. Each cone is factored once for all
+    rays; a singular one certifies nothing."""
+    held = np.zeros(len(rays), dtype=bool)
+    c = basis.shape[0]
+    supports = {tuple(np.flatnonzero(w > 0)) for w in seed_x.T}
+    for support in sorted(s for s in supports if len(s) == c):
+        left = np.flatnonzero(~held)
+        if not left.size:
+            break
+        cone = basis[:, support]
+        try:
+            w = np.linalg.solve(cone, rays[left].T)
+        except np.linalg.LinAlgError:
+            continue
+        resid = np.linalg.norm(cone @ w - rays[left].T, axis=0)
+        held[left] = (w >= 0).all(axis=0) & (resid / norms[left] < tol)
+    return held
 
 
 # ---------------------------------------------------------------------------
@@ -191,6 +249,46 @@ def _min_entry(q: np.ndarray, basis: np.ndarray):
     return (np.swapaxes(q, -1, -2) @ basis).min(axis=(-2, -1))
 
 
+def _screen_columns(leaders: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
+    """The columns that bound the candidates of later Haar batches: for each
+    of the first batch's leaders, the _SCREEN_COLUMNS columns with the
+    lowest entries in Q^T H. None when they would be more than half of H,
+    where screening saves too little."""
+    m = basis.shape[1]
+    if 2 * _SCREEN_COLUMNS > m:
+        return None
+    lows = (np.swapaxes(leaders, -1, -2) @ basis).min(axis=-2)
+    cols = np.unique(np.argpartition(lows, _SCREEN_COLUMNS - 1, axis=1)[:, :_SCREEN_COLUMNS])
+    return basis[:, cols] if 2 * cols.size <= m else None
+
+
+def _batch_top(qs: np.ndarray, basis: np.ndarray, screen: np.ndarray | None):
+    """Indices of the REFINE_TOP best candidates of a Haar batch and their
+    scores, exactly as `np.argsort(-_min_entry(qs, basis))` ranks them.
+
+    A candidate's minimum over the `screen` columns bounds its score from
+    above. So with a screen, exact scores are computed in bound order only
+    until the next bound falls below the REFINE_TOP-th best exact score by
+    more than _SCREEN_SLACK, which covers the rounding of the two products;
+    every candidate after it scores lower still. When two leaders tie,
+    argsort's order between them depends on the whole batch, so then the
+    whole batch is scored."""
+    if screen is not None and len(qs) > REFINE_TOP:
+        bound = _min_entry(qs, screen)
+        order = np.argsort(-bound)
+        head = _min_entry(qs[order[:REFINE_TOP]], basis)
+        reach = np.count_nonzero(bound + _SCREEN_SLACK >= head.min())
+        idx = order[:reach]
+        scores = np.concatenate([head, _min_entry(qs[idx[REFINE_TOP:]], basis)])
+        rank = np.argsort(-scores)[: REFINE_TOP + 1]
+        if (np.diff(scores[rank]) < 0).all():
+            rank = rank[:REFINE_TOP]
+            return idx[rank], scores[rank]
+    scores = _min_entry(qs, basis)
+    top = np.argsort(-scores)[:REFINE_TOP]
+    return top, scores[top]
+
+
 def search_rotation_witness(
     h,
     trials: int = DEFAULT_WITNESS_TRIALS,
@@ -215,17 +313,20 @@ def search_rotation_witness(
         return score >= -tol and _signed_permutation_distance(q) > PERMUTATION_BALL
 
     candidates = []  # (score, q), best few kept for refinement
+    screen = None  # the columns later batches are screened on
     batch = 512
     done = 0
     while done < trials:
         k = min(batch, trials - done)
         qs = _orthogonal_from_gaussian(rng.standard_normal((k, c, c)))
-        scores = _min_entry(qs, basis)
-        done += k
-        for i in np.argsort(-scores)[:REFINE_TOP]:
-            if is_witness(qs[i], scores[i]):
+        top, scores = _batch_top(qs, basis, screen)
+        for i, score in zip(top, scores):
+            if is_witness(qs[i], score):
                 return qs[i].copy()
-            candidates.append((float(scores[i]), qs[i].copy()))
+            candidates.append((float(score), qs[i].copy()))
+        if not done:
+            screen = _screen_columns(qs[top], basis)
+        done += k
     candidates.sort(key=lambda sq: -sq[0])
 
     for _, q in candidates[:REFINE_TOP]:

@@ -31,6 +31,10 @@ import numpy as np
 from .fileio import atomic_write_text, read_text
 
 
+# `nnls` stops once a residual reaches this fraction of ||b||.
+NNLS_FLOOR = 1e-12
+
+
 class SingularMatrixError(ValueError):
     """A factorization met a numerically singular matrix."""
 
@@ -109,7 +113,7 @@ def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
     stationarity tolerance, applied relative to the current residual: the
     solve stops once every inactive column's gradient is below
     ||a_j|| * (tol * ||r|| + 1e-14 * ||b||), or once the residual itself
-    reaches the exactness floor 1e-12 * ||b||. An absolute gradient cutoff
+    reaches the exactness floor NNLS_FLOOR * ||b||. An absolute gradient cutoff
     would declare stationarity too early on near-degenerate cones, where
     the improving gradient scales with the square of the remaining
     residual. The iteration cap is 10 * cols; hitting it is reported with
@@ -146,7 +150,7 @@ def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
         j = np.argmax(grad, axis=1)
         gj = grad[np.arange(live.size), j]
         done = (
-            (rnorm <= 1e-12 * bnorm[live])
+            (rnorm <= NNLS_FLOOR * bnorm[live])
             | ~np.isfinite(gj)
             | (gj <= anorm[j] * (tol * rnorm + 1e-14 * bnorm[live]))
         )
@@ -201,15 +205,15 @@ def format_rows(a) -> list[str]:
     return [",".join(map(repr, row)) for row in a.tolist()]
 
 
-def parse_rows(numbered_lines, source, width: int, floats: int):
-    """(x, ints) from a list of `(lineno, line)` pairs, each line holding
-    `width` comma-separated fields: the first `floats` fields of every line
-    as a finite (n, floats) array, and each later field as a list of ints.
+def parse_rows(lines: list[str], linenos, source, width: int, floats: int):
+    """(x, ints) from `lines`, each holding `width` comma-separated fields:
+    the first `floats` fields of every line as a finite (n, floats) array,
+    and each later field as a list of ints.
 
     The whole table is split and converted in a few C-level passes. A table
     that fails any check is scanned again line by line, so the ValueError
-    names the first bad line and token of `source`."""
-    lines = [line for _, line in numbered_lines]
+    names the first bad line and token of `source`. Only that scan reads
+    `linenos`, an iterable of each line's number in `source`."""
     if lines and set(map(str.count, lines, repeat(","))) == {width - 1}:
         tokens = ",".join(lines).split(",")
         try:
@@ -222,7 +226,7 @@ def parse_rows(numbered_lines, source, width: int, floats: int):
             if np.isfinite(x).all():
                 return x, ints
     xs, ints = [], [[] for _ in range(floats, width)]
-    for lineno, line in numbered_lines:
+    for lineno, line in zip(linenos, lines):
         parts = line.split(",")
         if len(parts) != width:
             raise ValueError(f"{source}:{lineno}: expected {width} fields, got {len(parts)}")
@@ -250,13 +254,13 @@ def write_matrix_text(path: str | Path, a, comment: str | None = None) -> None:
 
 
 def read_matrix_text(path: str | Path) -> np.ndarray:
-    text = read_text(path)
-    rows = [(lineno, raw.strip()) for lineno, raw in enumerate(text.split("\n"), 1)]
-    rows = [(lineno, line) for lineno, line in rows if line and not line.startswith("#")]
-    if not rows:
+    stripped = [raw.strip() for raw in read_text(path).split("\n")]
+    linenos = [i for i, line in enumerate(stripped, 1) if line and not line.startswith("#")]
+    if not linenos:
         raise ValueError(f"{path}: no matrix rows found")
-    width = rows[0][1].count(",") + 1
-    return parse_rows(rows, str(path), width, width)[0]
+    rows = [stripped[i - 1] for i in linenos]
+    width = rows[0].count(",") + 1
+    return parse_rows(rows, linenos, str(path), width, width)[0]
 
 
 # Parameter checkpoints: a flat list of named blocks, each a matrix in the
@@ -277,23 +281,24 @@ def write_named_blocks(path: str | Path, blocks: list[tuple[str, np.ndarray]]) -
 def read_named_blocks(path: str | Path) -> list[tuple[str, np.ndarray]]:
     source = str(path)
     text = read_text(path)
-    heads = []  # (header lineno, name, rows, cols, that block's numbered rows)
+    heads = []  # (header lineno, name, rows, cols, that block's rows, their linenos)
     for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.strip()
         if line.startswith("# block:"):
             parts = line[len("# block:") :].split()
             if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
                 raise ValueError(f"{source}:{lineno}: malformed block header")
-            heads.append((lineno, parts[0], int(parts[1]), int(parts[2]), []))
+            heads.append((lineno, parts[0], int(parts[1]), int(parts[2]), [], []))
         elif line and not line.startswith("#"):
             if not heads:
                 raise ValueError(f"{source}:{lineno}: matrix row outside any block")
-            heads[-1][4].append((lineno, line))
+            heads[-1][4].append(line)
+            heads[-1][5].append(lineno)
     if not heads:
         raise ValueError(f"{source}: no blocks found")
     blocks = []
-    for lineno, name, rows, cols, lines in heads:
-        arr = parse_rows(lines, source, cols, cols)[0]
+    for lineno, name, rows, cols, lines, linenos in heads:
+        arr = parse_rows(lines, linenos, source, cols, cols)[0]
         if arr.shape[0] != rows:
             raise ValueError(
                 f"{source}:{lineno}: block {name} declares {rows} rows, got {arr.shape[0]}"

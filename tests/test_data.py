@@ -488,10 +488,18 @@ class TestCsvCodecMatchesReference:
             data.read_csv(path, 2)
 
     def test_invalid_dataset_names_the_file(self, tmp_path):
+        # A sibling row off the simplex is the sibling's fault, named by line;
+        # simplex data whose x rows (and so the sibling's) are off it is the
+        # dataset's.
         path = tmp_path / "d.csv"
         path.write_text("x0,y_clean\n0.5,1\n", encoding="utf-8")
         sibling = tmp_path / "d.posterior.csv"
         sibling.write_text("p0,p1\n0.9,0.9\n", encoding="utf-8")
+        with pytest.raises(
+            data.CsvError, match=r"d\.posterior\.csv:2: posterior row is not on the simplex"
+        ):
+            data.read_csv(path, 2)
+        path.write_text("x0,x1,y_clean\n0.9,0.9,1\n", encoding="utf-8")
         with pytest.raises(data.CsvError, match=r"d\.csv: clean_posterior rows"):
             data.read_csv(path, 2)
 

@@ -1,11 +1,14 @@
-"""Property tests at the input boundary: generated config text and
-generated dataset bytes end in a parsed value or a one-line error, never in
-another exception. Both run in this process and start no subprocess."""
+"""Property tests at the input boundary: generated config text, dataset
+bytes, and mutated posterior siblings and matrix files end in a parsed value
+or a one-line error, never in another exception. All run in this process and
+start no subprocess."""
 
 import contextlib
 import io
 import re
+import shutil
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -117,3 +120,90 @@ def test_corrupt_reads_any_dataset_bytes(tmp_path_factory, blob):
         code = cli.main(["corrupt", "--config", str(cfg)])
     assert code in (0, 2), err.getvalue()
     assert (code == 0) == (root / "out" / "dataset_noisy.csv").exists()
+
+
+STAGED_CFG = """\
+data.classes = 3
+data.n = 40
+data.profile = edge-scattered
+data.cap = 0.9
+noise.kind = symmetric
+noise.rate = 0.2
+train.epochs = 1
+train.batch_size = 16
+train.hidden = 4
+geometry.rays = 40
+geometry.trials = 600
+trials.seeds = 0
+output.dir = {out}
+"""
+
+# Byte edits at a position: overwrite, insert, delete a few bytes, truncate.
+token = st.one_of(
+    st.binary(min_size=1, max_size=3),
+    st.sampled_from([b"nan", b"inf", b"-", b",", b"\n", b"\r", b"#", b"1e400", b"0.9",
+                     b"\xff"]),
+)
+edits = st.lists(
+    st.tuples(st.integers(0, 10**6), st.sampled_from("oidt"), token), min_size=1, max_size=3
+)
+
+
+def mutate(blob: bytes, steps) -> bytes:
+    for at, kind, extra in steps:
+        at %= len(blob) + 1
+        if kind == "o":
+            blob = blob[:at] + extra + blob[at + len(extra):]
+        elif kind == "i":
+            blob = blob[:at] + extra + blob[at:]
+        elif kind == "d":
+            blob = blob[:at] + blob[at + len(extra):]
+        else:
+            blob = blob[:at]
+    return blob
+
+
+def run_cli(argv):
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def staged(tmp_path_factory):
+    """A config and the output directories of `generate` and of `generate`
+    then `corrupt` on it, to copy and damage."""
+    root = tmp_path_factory.mktemp("staged")
+    dirs = {}
+    for commands in (["generate"], ["generate", "corrupt"]):
+        out = root / commands[-1]
+        cfg = root / f"{commands[-1]}.cfg"
+        cfg.write_text(STAGED_CFG.format(out=out), encoding="utf-8")
+        for command in commands:
+            assert run_cli([command, "--config", str(cfg)]) == (0, "")
+        dirs[commands[-1]] = out
+    return dirs
+
+
+@pytest.mark.parametrize(
+    "stage, target, command",
+    [
+        ("generate", "dataset.posterior.csv", "check-scattered"),
+        ("corrupt", "true_transition.txt", "train-volmin"),
+    ],
+)
+@settings(max_examples=40, deadline=None)
+@given(steps=edits)
+def test_mutated_sibling_or_matrix_file(tmp_path_factory, staged, stage, target, command,
+                                        steps):
+    out = tmp_path_factory.mktemp("mutated") / "out"
+    shutil.copytree(staged[stage], out)
+    (out / target).write_bytes(mutate((out / target).read_bytes(), steps))
+    cfg = out.parent / "exp.cfg"
+    cfg.write_text(STAGED_CFG.format(out=out), encoding="utf-8")
+    code, err = run_cli([command, "--config", str(cfg)])
+    assert code in (0, 2, 3), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert target in err, err

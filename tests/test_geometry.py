@@ -8,7 +8,9 @@ import math
 import numpy as np
 import pytest
 
-from volmin import geometry, linalg
+from volmin import data, geometry, linalg
+
+PROFILES = ["corner-rich", "edge-scattered", "center-heavy"]
 
 
 def edge_mixture_columns(top=0.9):
@@ -103,6 +105,90 @@ class TestConeCoverage:
             geometry.check_cone_coverage(np.eye(3), rays)
 
 
+def profile_columns(c, profile, m, seed):
+    """m posterior columns at C = c: a simplex-feature profile at cap 0.9,
+    or random Dirichlet columns."""
+    if profile == "dirichlet":
+        return np.random.default_rng([seed, c]).dirichlet([0.7] * c, size=m).T
+    return data.gen_simplex_feature(c, m, profile, 0.9, seed).clean_posterior.T
+
+
+def plain_coverage(h, rays, tol):
+    """The verdict of one NNLS over every ray, as coverage had it before
+    certificates."""
+    _, resid = linalg.nnls(geometry.extreme_columns(h), rays.T)
+    frac = int((resid / np.linalg.norm(rays, axis=1) < tol).sum()) / len(rays)
+    return frac, frac == 1.0
+
+
+class TestCoverageCertificates:
+    """A ray that a seed solution's simplicial cone certifies skips its NNLS;
+    the verdict must be the plain NNLS's on every input."""
+
+    TOLS = (1e-4, 1e-8, 1e-12, 1e-15)
+
+    @pytest.mark.parametrize("profile", PROFILES + ["dirichlet"])
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    def test_verdict_is_the_plain_nnls_verdict(self, c, profile):
+        h = profile_columns(c, profile, 200, seed=c)
+        for count in (geometry._SEED_RAYS // 2, 6 * geometry._SEED_RAYS):
+            rays = geometry.sample_boundary_rays(c, count, seed=count)
+            for tol in self.TOLS:
+                assert geometry.check_cone_coverage(h, rays, tol) == plain_coverage(
+                    h, rays, tol
+                ), (count, tol)
+
+    def test_certificates_skip_the_nnls_above_the_floor_only(self, monkeypatch):
+        h = profile_columns(10, "edge-scattered", 200, seed=3)
+        rays = geometry.sample_boundary_rays(10, 512, seed=3)
+        want = plain_coverage(h, rays, 1e-12)
+        solved = []
+        nnls = linalg.nnls
+        monkeypatch.setattr(
+            linalg, "nnls", lambda a, b: solved.append(b.shape[1]) or nnls(a, b)
+        )
+        assert geometry.check_cone_coverage(h, rays, 1e-8) == (1.0, True)
+        assert solved[0] == geometry._SEED_RAYS and sum(solved) < 512 // 4
+        solved.clear()
+        assert geometry.check_cone_coverage(h, rays, 1e-12) == want
+        assert solved == [512]
+
+    def test_nearly_every_ray_uncovered(self):
+        h = np.random.default_rng(4).dirichlet([50.0] * 4, size=300).T
+        rays = geometry.sample_boundary_rays(4, 256, seed=4)
+        for tol in self.TOLS:
+            got = geometry.check_cone_coverage(h, rays, tol)
+            assert got == plain_coverage(h, rays, tol)
+            assert got[0] < 0.05
+
+    def test_singular_seed_cone_is_skipped(self):
+        # Columns 0-3 lie in the face x4 = 0, so their 4 x 4 matrix is
+        # singular; columns 0, 1, 2 and 4 are the corners of the simplex.
+        basis = np.array([
+            [1.0, 0.0, 0.0, 0.5, 0.0],
+            [0.0, 1.0, 0.0, 0.5, 0.0],
+            [0.0, 0.0, 1.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0, 0.0, 1.0],
+        ])
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(basis[:, :4], np.ones(4))
+        seed_x = np.array([[0.2, 0.2, 0.2, 0.2, 0.0], [0.1, 0.1, 0.1, 0.0, 0.1]]).T
+        rays = geometry.sample_boundary_rays(4, 64, seed=5)
+        held = geometry._certified(basis, seed_x, rays, np.linalg.norm(rays, axis=1), 1e-8)
+        assert held.all()  # every ray lies in the orthant, the second cone
+        held = geometry._certified(
+            basis, seed_x[:, :1], rays, np.linalg.norm(rays, axis=1), 1e-8
+        )
+        assert not held.any()
+        for count in (16, 200):
+            rays = geometry.sample_boundary_rays(4, count, seed=count)
+            for h in (basis, basis[:, :4]):
+                for tol in self.TOLS:
+                    assert geometry.check_cone_coverage(h, rays, tol) == plain_coverage(
+                        h, rays, tol
+                    )
+
+
 class TestRotationWitness:
     def test_identity_has_no_witness(self):
         for c in (2, 3, 4):
@@ -142,6 +228,8 @@ class TestRotationWitness:
              "2ac55a6e368935ca49a3808986e859fd825cafb440879f1345a8e39badc5357c"),
             ("dirichlet-c10", 500, True,
              "2b8620ed300c94a9b93f9023ce61688bf00b1602d185f74bcc87b5b1f1367e1f"),
+            ("dirichlet300-c10", 10_000, True,
+             "0c149b163008552c9d4e016b30ad609fe72d33dbe9b09e8d5a9b1f09d96d7038"),
         ],
     )
     def test_pinned_witness_bits(self, monkeypatch, name, trials, refined, digest):
@@ -152,9 +240,10 @@ class TestRotationWitness:
             h = np.eye(3)
         elif name == "interior":
             h = np.stack([np.linspace(0.3, 0.7, 30), np.linspace(0.7, 0.3, 30)])
-        else:  # 30 columns at C = 3, 4 and 40 at C = 10, near the centre
+        else:  # near the centre: 30 columns at C = 3, 4, 40 or 300 at C = 10
             c = int(name.split("-c")[1])
-            h = np.random.default_rng(c).dirichlet([8.0] * c, size=40 if c == 10 else 30).T
+            m = 300 if name.startswith("dirichlet300") else 40 if c == 10 else 30
+            h = np.random.default_rng(c).dirichlet([8.0] * c, size=m).T
         cayley_calls = []
         cayley = geometry._cayley
         monkeypatch.setattr(
@@ -164,6 +253,104 @@ class TestRotationWitness:
         got = None if q is None else hashlib.sha256(q.tobytes()).hexdigest()
         assert got == digest
         assert bool(cayley_calls) == refined
+
+
+def reference_search(h, trials, seed, tol=geometry.DEFAULT_WITNESS_TOL):
+    """search_rotation_witness as it was before screening: every Haar
+    candidate scored against every column of H."""
+    basis = geometry.extreme_columns(geometry.as_posterior_matrix(h))
+    c = h.shape[0]
+    rng = np.random.default_rng([seed, geometry._WITNESS_STREAM])
+
+    def is_witness(q, score):
+        return (score >= -tol
+                and geometry._signed_permutation_distance(q) > geometry.PERMUTATION_BALL)
+
+    candidates = []
+    done = 0
+    while done < trials:
+        k = min(512, trials - done)
+        qs = geometry._orthogonal_from_gaussian(rng.standard_normal((k, c, c)))
+        scores = geometry._min_entry(qs, basis)
+        done += k
+        for i in np.argsort(-scores)[: geometry.REFINE_TOP]:
+            if is_witness(qs[i], scores[i]):
+                return qs[i].copy()
+            candidates.append((float(scores[i]), qs[i].copy()))
+    candidates.sort(key=lambda sq: -sq[0])
+
+    for _, q in candidates[: geometry.REFINE_TOP]:
+        best = q
+        best_score = geometry._min_entry(best, basis)
+        step = 0.3
+        for _ in range(geometry.REFINE_STEPS):
+            g = rng.standard_normal((8, c, c))
+            turns = geometry._cayley(step * (g - np.swapaxes(g, -1, -2)))
+            first = 0
+            while first < len(turns):
+                props = best @ turns[first:]
+                scores = geometry._min_entry(props, basis)
+                better = np.flatnonzero(scores > best_score)
+                if not better.size:
+                    break
+                i = int(better[0])
+                best, best_score = props[i], scores[i]
+                first += i + 1
+            if first == 0:
+                step *= 0.5
+                if step < 1e-12:
+                    break
+            elif is_witness(best, best_score):
+                return best.copy()
+    return None
+
+
+class TestScreenedSearch:
+    """Haar batches after the first are ranked by a bound over a column
+    subset; the search must return the unscreened search's bits."""
+
+    @pytest.mark.parametrize("profile", ["near-centre", "corner-rich"])
+    @pytest.mark.parametrize("c", [4, 6, 10])
+    def test_same_witness_as_unscreened(self, monkeypatch, c, profile):
+        found = 0
+        for seed in range(4):
+            if profile == "near-centre":
+                h = np.random.default_rng([seed, c]).dirichlet([8.0] * c, size=300).T
+            else:
+                h = profile_columns(c, profile, 300, seed)
+            want = reference_search(h, trials=2048, seed=seed)
+            widths = []
+            min_entry = geometry._min_entry
+            with monkeypatch.context() as m:
+                m.setattr(geometry, "_min_entry",
+                          lambda q, b: widths.append(b.shape[1]) or min_entry(q, b))
+                got = geometry.search_rotation_witness(h, trials=2048, seed=seed)
+            assert min(widths) < 300 // 2  # later batches were screened
+            if want is None:
+                assert got is None
+            else:
+                assert got is not None and got.tobytes() == want.tobytes()
+                found += 1
+        if profile == "near-centre":
+            assert found  # the witness branch is compared too
+
+    def test_tied_leaders_keep_argsort_order(self):
+        # Copies of one candidate score the same bits, so the leaders tie.
+        h = np.random.default_rng(7).dirichlet([8.0] * 6, size=300).T
+        basis = geometry.extreme_columns(h)
+        rng = np.random.default_rng(8)
+        qs = geometry._orthogonal_from_gaussian(rng.standard_normal((512, 6, 6)))
+        screen = geometry._screen_columns(qs[:8], basis)
+        assert screen is not None
+        best = int(np.argmax(geometry._min_entry(qs, basis)))
+        for copies in (np.array([3, 40, 300]), np.arange(0, 512, 37)):
+            tied = qs.copy()
+            tied[copies] = qs[best]
+            scores = geometry._min_entry(tied, basis)
+            want = np.argsort(-scores)[: geometry.REFINE_TOP]
+            top, got = geometry._batch_top(tied, basis, screen)
+            np.testing.assert_array_equal(top, want)
+            assert got.tobytes() == scores[want].tobytes()
 
 
 class TestExtremeColumns:
@@ -176,6 +363,59 @@ class TestExtremeColumns:
         twice = geometry.extreme_columns(once)
         assert once.shape[1] <= h.shape[1]
         assert once.tobytes() == twice.tobytes() and once.shape == twice.shape
+
+
+def reference_hull_2d(points):
+    """_hull_2d's monotone chain on numpy scalars, as it ran before."""
+    order = np.lexsort((points[:, 1], points[:, 0]))
+    pts = points[order]
+
+    def half(rng_):
+        out = []
+        for i in rng_:
+            p = pts[i]
+            while len(out) >= 2:
+                a, b = pts[out[-2]], pts[out[-1]]
+                if (b[0] - a[0]) * (p[1] - a[1]) - (b[1] - a[1]) * (p[0] - a[0]) <= 0:
+                    out.pop()
+                else:
+                    break
+            out.append(i)
+        return out
+
+    lower = half(range(len(pts)))
+    upper = half(range(len(pts) - 1, -1, -1))
+    keep = sorted(set(lower[:-1] + upper[:-1])) if len(pts) > 1 else [0]
+    return order[keep]
+
+
+def simplex_plane(h):
+    """extreme_columns' affine embedding of C = 3 columns into the plane."""
+    return np.stack([h[1] + 0.5 * h[2], (math.sqrt(3) / 2) * h[2]], axis=1)
+
+
+class TestHullOnPythonFloats:
+    def _same(self, points):
+        got = geometry._hull_2d(points)
+        assert got.tobytes() == reference_hull_2d(points).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 500])
+    def test_random_points(self, n):
+        self._same(np.random.default_rng(n).random((n, 2)))
+
+    def test_duplicated_points(self):
+        pts = np.random.default_rng(30).random((60, 2))
+        self._same(np.vstack([pts, pts[::3], pts[:5], pts[:5]]))
+        self._same(np.repeat(pts[:1], 4, axis=0))
+
+    @pytest.mark.parametrize("step", [0.5, 0.1, 0.01])
+    def test_grid_points_are_exactly_collinear(self, step):
+        pts = np.round(np.random.default_rng(31).random((400, 2)) / step) * step
+        self._same(pts)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_c3_profiles(self, profile):
+        self._same(simplex_plane(profile_columns(3, profile, 4000, seed=0)))
 
 
 class TestAnchorPresence:
