@@ -120,14 +120,13 @@ class Dataset:
         return out
 
 
-def sample_labels(posterior: np.ndarray, rng) -> np.ndarray:
-    """One label per row, drawn from that row's distribution: one uniform
-    draw per row, in row order, read off the row's CDF (inverse-CDF
+def sample_labels(cdf: np.ndarray, rng) -> np.ndarray:
+    """One label per row of `cdf`, a distribution's cumulative sums: one
+    uniform draw per row, in row order, read off that row (inverse-CDF
     sampling)."""
-    cdf = np.cumsum(posterior, axis=1)
-    u = rng.uniform(size=posterior.shape[0])
+    u = rng.uniform(size=cdf.shape[0])
     idx = (u[:, None] >= cdf).sum(axis=1)
-    return np.minimum(idx, posterior.shape[1] - 1).astype(np.int64)
+    return np.minimum(idx, cdf.shape[1] - 1).astype(np.int64)
 
 
 def _apply_cap(posterior: np.ndarray, cap: float, classes: int) -> np.ndarray:
@@ -181,7 +180,7 @@ def gen_simplex_feature(
         posterior[rows, first[which]] = q
         posterior[rows, second[which]] = 1.0 - q
     posterior = _apply_cap(posterior, cap, classes)
-    y = sample_labels(posterior, rng)
+    y = sample_labels(np.cumsum(posterior, axis=1), rng)
     return Dataset(
         x=posterior.copy(),
         y_clean=y,
@@ -206,7 +205,7 @@ def gen_gaussian_mixture(
     comp = rng.choice(classes, size=n, p=priors)
     x = means[comp] + rng.standard_normal((n, d))
     posterior = gaussian_mixture_posterior(x, means, np.eye(d), priors)
-    y = sample_labels(posterior, rng)
+    y = sample_labels(np.cumsum(posterior, axis=1), rng)
     return Dataset(
         x=x,
         y_clean=y,

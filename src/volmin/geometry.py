@@ -12,11 +12,16 @@ simplex). Two properties are probed:
   * rotation rigidity: no real orthogonal Q other than a permutation may
     satisfy Q^T H >= 0. This direction is only falsifiable: a randomized
     search either produces a witness Q or reports that none was found.
-    Its Haar batches after the first are screened by an upper bound on
-    each candidate's score over a column subset (_batch_top).
+    Its Haar batches after the first QR-factor only the candidates whose
+    score, bounded from above by their Gaussian draw's leading columns
+    (_leading_bound), can still reach the leaders kept so far, and are
+    screened by an upper bound on each candidate's score over a column
+    subset (_batch_top).
 
-Neither shortcut changes a report: a certified ray is one the NNLS would
-also cover, and screening ranks exactly the leaders a full scoring ranks.
+No shortcut changes a report: a certified ray is one the NNLS would also
+cover, a skipped candidate scores below every candidate that can be
+returned or refined, and screening ranks exactly the leaders a full
+scoring ranks.
 
 Also here: the anchor-point check (some column per class with posterior
 entry >= 1 - delta) and the closed-form minimum-volume enclosing
@@ -56,6 +61,13 @@ REFINE_STEPS = 60
 # to this much rounding slack, before any exact score.
 _SCREEN_COLUMNS = 16
 _SCREEN_SLACK = 1e-12
+# Haar batches after the first QR-factor only the candidates whose bound
+# from the first _LEAD_COLUMNS Gram-Schmidt columns of their Gaussian draw
+# reaches the cut, up to _LEAD_SLACK; a later column counts only while its
+# residual keeps more than _LEAD_GUARD of its length.
+_LEAD_COLUMNS = 3
+_LEAD_GUARD = 1e-2
+_LEAD_SLACK = 1e-9
 
 
 def as_posterior_matrix(h) -> np.ndarray:
@@ -289,6 +301,49 @@ def _batch_top(qs: np.ndarray, basis: np.ndarray, screen: np.ndarray | None):
     return top, scores[top]
 
 
+def _leading_bound(g: np.ndarray, basis: np.ndarray, cut: float = -np.inf) -> np.ndarray:
+    """Upper bound on the score `_min_entry(_orthogonal_from_gaussian(g),
+    basis)` of each Gaussian matrix of a stack, without its QR, exact up to
+    far less than _LEAD_SLACK. A candidate whose bound plus _LEAD_SLACK
+    falls below `cut` keeps the bound it has, and its later columns are
+    skipped.
+
+    Under diag(R) > 0 the j-th column of Q is the Gram-Schmidt vector
+    u_j / ||u_j|| of g's j-th column g_j, where u_j is g_j minus its
+    projections on the earlier columns. The score is the minimum of q_j . h
+    over all columns q_j of Q and h of H, so the minimum over the first
+    _LEAD_COLUMNS columns alone bounds it from above. Column j > 1 counts
+    only while ||u_i|| > _LEAD_GUARD ||g_i|| for every 1 < i <= j.
+
+    Rounding: Householder QR returns, up to O(C eps), the exact
+    Gram-Schmidt vectors of g perturbed columnwise by O(C eps) ||g_j||. Such
+    a perturbation moves q_j by at most about ||g_j|| / ||u_j|| times the
+    moves of g_j and the earlier q_i, so under the guard the first three
+    columns move by at most about 1e4 C eps (about 2e-11 at C = 10), and
+    the guard keeps the sign of R's diagonal far from rounding. The
+    modified Gram-Schmidt here adds error of the same order. Each h lies
+    on the simplex, so |dq . h| <= max |dq|. A zero first column bounds
+    nothing: its bound stays inf."""
+    bound = np.full(len(g), np.inf)
+    live = np.arange(len(g))
+    prev = np.empty((len(g), 0, g.shape[-1]))  # the live candidates' columns so far
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for j in range(min(_LEAD_COLUMNS, g.shape[-1])):
+            u = g[live, :, j]
+            for i in range(j):
+                u -= np.einsum("kc,kc->k", prev[:, i], u)[:, None] * prev[:, i]
+            norm = np.linalg.norm(u, axis=1)
+            if j:
+                ok = norm > _LEAD_GUARD * np.linalg.norm(g[live, :, j], axis=1)
+                live, u, norm, prev = live[ok], u[ok], norm[ok], prev[ok]
+            q = u / norm[:, None]
+            bound[live] = np.fmin(bound[live], (q @ basis).min(axis=1))
+            keep = ~(bound[live] + _LEAD_SLACK < cut)
+            live = live[keep]
+            prev = np.concatenate([prev[keep], q[keep, None]], axis=1)
+    return bound
+
+
 def search_rotation_witness(
     h,
     trials: int = DEFAULT_WITNESS_TRIALS,
@@ -300,7 +355,21 @@ def search_rotation_witness(
 
     Candidates are Haar-random orthogonal matrices; the most promising few
     are refined by hill-climbing over small Cayley rotations. Absence of a
-    witness is evidence against one existing, never proof."""
+    witness is evidence against one existing, never proof.
+
+    Haar batches after the first QR-factor only the candidates that can
+    still matter. The cut is the REFINE_TOP-th best score kept so far or
+    -tol, whichever is lower, and a candidate is skipped when its
+    `_leading_bound` (three Gram-Schmidt columns of its Gaussian draw, each
+    after the first used only while its residual keeps more than 1e-2 of its
+    length) plus 1e-9 falls below the cut. That slack is far above the
+    bound's rounding and far below the usual gap to the cut. A skipped
+    candidate is no witness, and it could only have entered this batch's
+    leaders behind all that do reach the cut, never the final REFINE_TOP,
+    since that many kept candidates outscore it. The survivors' QR is the
+    whole batch's, matrix by matrix, so they rank as the whole batch
+    ranks; when their leaders tie, the batch is ranked unpruned. So the
+    search returns the same bits as without the pruning."""
     h = as_posterior_matrix(h)
     if trials < 1:
         raise ValueError("trials must be positive")
@@ -318,8 +387,29 @@ def search_rotation_witness(
     done = 0
     while done < trials:
         k = min(batch, trials - done)
-        qs = _orthogonal_from_gaussian(rng.standard_normal((k, c, c)))
+        g = rng.standard_normal((k, c, c))
+        keep = np.arange(k)
+        if done:
+            # Below the cut a candidate is no witness, and 8 kept candidates
+            # outscore it, so it can never be refined: skip its QR.
+            cut = min(sorted(score for score, _ in candidates)[-REFINE_TOP], -tol)
+            keep = np.flatnonzero(~(_leading_bound(g, basis, cut) + _LEAD_SLACK < cut))
+        if len(keep) == k:  # nothing pruned: free the draw before scoring
+            qs, g = _orthogonal_from_gaussian(g), None
+        else:
+            qs = _orthogonal_from_gaussian(g[keep])
         top, scores = _batch_top(qs, basis, screen)
+        if g is not None:
+            # The survivors rank as the whole batch does unless leaders that
+            # reach the cut tie, since argsort orders ties by the whole array.
+            # The 8th and 9th matter only when the 8th reaches the cut; only
+            # then are all survivors scored to find the 9th.
+            lead = scores
+            if len(keep) > REFINE_TOP and scores[-1] >= cut:
+                lead = -np.sort(-_min_entry(qs, basis))[: REFINE_TOP + 1]
+            if not (np.diff(lead) < 0).all():
+                qs = _orthogonal_from_gaussian(g)
+                top, scores = _batch_top(qs, basis, screen)
         for i, score in zip(top, scores):
             if is_witness(qs[i], score):
                 return qs[i].copy()

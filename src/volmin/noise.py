@@ -105,6 +105,8 @@ def corrupt_labels(labels: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
 
     `data.sample_labels` draws one uniform per sample, in sample order, from
     the stream derived from `seed`, so the result is deterministic per seed.
+    Each sample reads the CDF of its class's column, summed once per class
+    in the order a per-sample sum would add.
     """
     t = linalg.as_matrix(t, "transition matrix")
     labels = np.asarray(labels)
@@ -113,7 +115,7 @@ def corrupt_labels(labels: np.ndarray, t: np.ndarray, seed: int) -> np.ndarray:
         raise ValueError(f"labels must lie in [0, {c}), got range "
                          f"[{labels.min()}, {labels.max()}]")
     rng = np.random.default_rng([seed, _CORRUPT_STREAM])
-    return data.sample_labels(t.T[labels], rng)
+    return data.sample_labels(np.cumsum(t, axis=0).T[labels], rng)
 
 
 def estimation_error(t_true: np.ndarray, t_est: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 aggregate, re-run determinism, parallel parity, and the two documented
 end-to-end examples (identity noise, anchor-free ordering)."""
 
+import hashlib
 import os
 import re
 from pathlib import Path
@@ -124,6 +125,38 @@ class TestPipeline:
         assert "coverage_verdict=true" in report
         assert "anchor_verdict=false" in report
         assert "scattered_verdict=true" in report
+
+    @pytest.mark.parametrize(
+        "classes, n, noise, rate, digest",
+        [
+            (3, 4000, "pair", 0.45,
+             "58024ac4b9b2dba4e604541437723d2713e0fc73103c564a1d8f60ab635b502b"),
+            (10, 400, "symmetric", 0.4,
+             "c89e2e2129e940f4cfdb6ae464d6e0de7f0b6a70025e26ee3bb02aa61b6e19f4"),
+        ],
+    )
+    def test_scatter_benchmark_report_is_pinned(self, tmp_path, classes, n, noise, rate, digest):
+        # The configs of the benchmark's `scatter` workload at seed 0. The
+        # sha256 of each report was taken before the witness search skipped
+        # any QR; a faster search must write the same bytes.
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "data.generator = simplex\n"
+            f"data.classes = {classes}\n"
+            f"data.n = {n}\n"
+            "data.profile = edge-scattered\n"
+            "data.cap = 0.9\n"
+            f"noise.kind = {noise}\n"
+            f"noise.rate = {rate}\n"
+            "estimators.methods = volmin, anchor-max\n"
+            "trials.seeds = 0\n",
+            encoding="utf-8",
+        )
+        out = tmp_path / "out"
+        for command in ("generate", "corrupt", "check-scattered"):
+            assert run(command, "--config", cfg, "--out", out) == 0
+        report = (out / "scatter_report.txt").read_bytes()
+        assert hashlib.sha256(report).hexdigest() == digest
 
 
 class TestExitCodes:

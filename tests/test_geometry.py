@@ -256,8 +256,8 @@ class TestRotationWitness:
 
 
 def reference_search(h, trials, seed, tol=geometry.DEFAULT_WITNESS_TOL):
-    """search_rotation_witness as it was before screening: every Haar
-    candidate scored against every column of H."""
+    """search_rotation_witness as it was before pruning and screening: every
+    Haar candidate QR-factored and scored against every column of H."""
     basis = geometry.extreme_columns(geometry.as_posterior_matrix(h))
     c = h.shape[0]
     rng = np.random.default_rng([seed, geometry._WITNESS_STREAM])
@@ -351,6 +351,157 @@ class TestScreenedSearch:
             top, got = geometry._batch_top(tied, basis, screen)
             np.testing.assert_array_equal(top, want)
             assert got.tobytes() == scores[want].tobytes()
+
+
+def near_collinear_stacks(c, k, seed):
+    """Gaussian stacks whose leading columns nearly lie in the span of the
+    earlier ones: each is a random mix of them plus `scale` times its own
+    draw, at scales 1e-12 to 1e-1, so the guard trips on the small ones."""
+    rng = np.random.default_rng([seed, c])
+    for scale in np.logspace(-12, -1, 23):
+        g = rng.standard_normal((k, c, c))
+        for j in range(1, min(geometry._LEAD_COLUMNS, c)):
+            mix = rng.standard_normal((k, j, 1))
+            g[:, :, j] = (g[:, :, :j] @ mix)[:, :, 0] + scale * g[:, :, j]
+        yield scale, g
+
+
+class TestLeadingBound:
+    """The bound from a Gaussian draw's leading Gram-Schmidt columns holds
+    the exact score of its QR from above, up to far less than the slack."""
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 10])
+    def test_bound_holds_the_exact_score(self, c):
+        basis = geometry.extreme_columns(profile_columns(c, "dirichlet", 60, seed=c))
+        slack = geometry._LEAD_SLACK
+        random = np.random.default_rng(c).standard_normal((2048, c, c))
+        stacks = [(1.0, random)] + list(near_collinear_stacks(c, 256, seed=c))
+        worst = -np.inf
+        for scale, g in stacks:
+            exact = geometry._min_entry(geometry._orthogonal_from_gaussian(g), basis)
+            bound = geometry._leading_bound(g, basis)
+            assert (exact <= bound + slack).all(), scale
+            worst = max(worst, float((exact - bound).max()))
+            # With a cut, a candidate's bound stops at the first column that
+            # drops it below; every other candidate keeps the full bound.
+            cut = float(np.median(exact))
+            early = geometry._leading_bound(g, basis, cut)
+            assert (exact <= early + slack).all()
+            reach = ~(early + slack < cut)
+            np.testing.assert_array_equal(early[reach], bound[reach])
+            np.testing.assert_array_equal(reach, ~(bound + slack < cut))
+            if scale < 1e-6 and c > 2:
+                # The guard drops the second column: only the first counts.
+                q1 = g[:, :, 0] / np.linalg.norm(g[:, :, 0], axis=1, keepdims=True)
+                np.testing.assert_array_equal(bound, (q1 @ basis).min(axis=1))
+        assert worst < slack / 1000
+
+    def test_zero_first_column_bounds_nothing(self):
+        basis = np.eye(3)
+        g = np.random.default_rng(1).standard_normal((4, 3, 3))
+        g[2, :, 0] = 0.0
+        bound = geometry._leading_bound(g, basis, cut=0.5)
+        assert bound[2] == np.inf
+
+
+# (classes, profile, columns, data seed and search seed, trials, phase in which
+# the witness is found: "haar", "refined" or None for no witness)
+PRUNE_CASES = [
+    (2, "near-centre", 30, 0, 2048, "haar"),
+    (3, "near-centre", 30, 0, 2048, "haar"),
+    (4, "near-centre", 100, 0, 4096, "haar"),
+    (4, "near-centre", 300, 2, 4096, "haar"),
+    (6, "near-centre", 10, 1, 4096, "haar"),
+    (6, "near-centre", 30, 1, 2048, "haar"),
+    (4, "near-centre", 300, 0, 4096, "refined"),
+    (6, "near-centre", 30, 0, 4096, "refined"),
+    (10, "near-centre", 30, 0, 4096, "refined"),
+    (10, "near-centre", 100, 1, 2048, "refined"),
+    (2, "corner-rich", 300, 0, 2048, "haar"),
+    (3, "corner-rich", 300, 0, 2048, "refined"),
+    (2, "edge-scattered", 300, 0, 2048, "haar"),
+] + [
+    (c, profile, 300, seed, trials, None)
+    for c, seed, trials in [(3, 0, 10_000), (3, 1, 2048), (4, 0, 2048), (6, 0, 2048),
+                            (10, 0, 10_000), (10, 1, 2048)]
+    for profile in ("corner-rich", "edge-scattered")
+    if (profile, c) != ("corner-rich", 3)
+] + [(6, "corner-rich", 300, 1, 10_000, None)]
+
+
+def prune_case_columns(c, profile, m, seed):
+    if profile == "near-centre":
+        return np.random.default_rng([seed, c]).dirichlet([8.0] * c, size=m).T
+    return profile_columns(c, profile, m, seed)
+
+
+def recorded_search(monkeypatch, h, trials, seed):
+    """The search's result, the sizes of the stacks it QR-factors, and
+    whether the Cayley refinement ran."""
+    sizes, cayley_calls = [], []
+    orthogonal, cayley = geometry._orthogonal_from_gaussian, geometry._cayley
+    with monkeypatch.context() as m:
+        m.setattr(geometry, "_orthogonal_from_gaussian",
+                  lambda g: sizes.append(len(g)) or orthogonal(g))
+        m.setattr(geometry, "_cayley", lambda s: cayley_calls.append(1) or cayley(s))
+        q = geometry.search_rotation_witness(h, trials=trials, seed=seed)
+    return q, sizes, bool(cayley_calls)
+
+
+class TestPrunedSearch:
+    """Haar batches after the first QR-factor only the candidates whose
+    leading-column bound reaches the cut; the search must return the bits of
+    the search that factors and scores every candidate."""
+
+    @pytest.mark.parametrize("c, profile, m, seed, trials, phase", PRUNE_CASES)
+    def test_same_search_as_unpruned(self, monkeypatch, c, profile, m, seed, trials, phase):
+        h = prune_case_columns(c, profile, m, seed)
+        want = reference_search(h, trials=trials, seed=seed)
+        got, sizes, refined = recorded_search(monkeypatch, h, trials, seed)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and got.tobytes() == want.tobytes()
+        assert (got is None) == (phase is None)
+        assert refined == (phase != "haar")
+        if len(sizes) > 1:  # later batches ran and were pruned
+            assert sum(sizes[1:]) < 512 * (len(sizes) - 1) / 2, sizes
+
+    def test_batch_without_survivors(self, monkeypatch):
+        h = prune_case_columns(3, "edge-scattered", 300, 0)
+        want = reference_search(h, trials=10_000, seed=0)
+        got, sizes, _ = recorded_search(monkeypatch, h, 10_000, 0)
+        assert want is None and got is None
+        assert 0 in sizes
+
+    @pytest.mark.parametrize("rank, copies", [(0, [3, 40, 300]), (7, [200])])
+    def test_tied_survivor_leaders_rank_the_whole_batch(self, monkeypatch, rank, copies):
+        # Every Haar batch after the first carries copies of the draw of its
+        # rank-th best candidate, so leaders tie: the best ones, or the 8th
+        # and 9th. The search then QR-factors the whole batch.
+        h = prune_case_columns(6, "corner-rich", 300, 0)
+        basis = geometry.extreme_columns(h)
+        orthogonal, default_rng = geometry._orthogonal_from_gaussian, np.random.default_rng
+
+        class TiedDraws:
+            def __init__(self, seed):
+                self.rng, self.batches = default_rng(seed), 0
+
+            def standard_normal(self, shape):
+                g = self.rng.standard_normal(shape)
+                if shape[0] == 512:
+                    if self.batches:
+                        scores = geometry._min_entry(orthogonal(g), basis)
+                        g[copies] = g[np.argsort(-scores)[rank]]
+                    self.batches += 1
+                return g
+
+        monkeypatch.setattr(np.random, "default_rng", TiedDraws)
+        want = reference_search(h, trials=2048, seed=0)
+        got, sizes, _ = recorded_search(monkeypatch, h, 2048, 0)
+        assert (got is None) == (want is None)
+        assert got is None or got.tobytes() == want.tobytes()
+        assert 512 in sizes[1:], sizes
 
 
 class TestExtremeColumns:

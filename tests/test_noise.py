@@ -131,6 +131,23 @@ class TestCorruptLabels:
         assert got.dtype == np.int64
         np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    @pytest.mark.parametrize("kind, rate", [("symmetric", 0.4), ("pair", 0.45)])
+    @pytest.mark.parametrize("n", [0, 1, 3000])
+    def test_class_cdf_matches_per_sample_cdf(self, classes, kind, rate, n):
+        # corrupt_labels sums each class's CDF once and gathers it by label;
+        # the per-sample sum it replaced adds the same entries in the same
+        # order, so the CDF rows and the flips keep their bits.
+        t = noise.build_transition(noise.NoiseSpec(kind, classes, rate=rate))
+        labels = np.random.default_rng([n, classes]).integers(0, classes, size=n)
+        per_sample = np.cumsum(t.T[labels], axis=1)
+        assert np.cumsum(t, axis=0).T[labels].tobytes() == per_sample.tobytes()
+        u = np.random.default_rng([3, noise._CORRUPT_STREAM]).uniform(size=n)
+        want = np.minimum((u[:, None] >= per_sample).sum(axis=1), classes - 1)
+        got = noise.corrupt_labels(labels, t, seed=3)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+
     def test_out_of_range_label_rejected(self):
         with pytest.raises(ValueError):
             noise.corrupt_labels(np.array([0, 3]), np.eye(3), seed=0)
