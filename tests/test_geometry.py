@@ -4,6 +4,7 @@ two-class interval oracle vs brute-force grid search, and simplex volume."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -255,9 +256,15 @@ class TestRotationWitness:
         assert bool(cayley_calls) == refined
 
 
+def unblocked_min_entry(q, basis):
+    """_min_entry as one product over the whole stack."""
+    return (np.swapaxes(q, -1, -2) @ basis).min(axis=(-2, -1))
+
+
 def reference_search(h, trials, seed, tol=geometry.DEFAULT_WITNESS_TOL):
-    """search_rotation_witness as it was before pruning and screening: every
-    Haar candidate QR-factored and scored against every column of H."""
+    """search_rotation_witness as it was before pruning, screening and
+    blocking: every Haar candidate QR-factored and scored against every
+    column of H in one product per stack."""
     basis = geometry.extreme_columns(geometry.as_posterior_matrix(h))
     c = h.shape[0]
     rng = np.random.default_rng([seed, geometry._WITNESS_STREAM])
@@ -271,7 +278,7 @@ def reference_search(h, trials, seed, tol=geometry.DEFAULT_WITNESS_TOL):
     while done < trials:
         k = min(512, trials - done)
         qs = geometry._orthogonal_from_gaussian(rng.standard_normal((k, c, c)))
-        scores = geometry._min_entry(qs, basis)
+        scores = unblocked_min_entry(qs, basis)
         done += k
         for i in np.argsort(-scores)[: geometry.REFINE_TOP]:
             if is_witness(qs[i], scores[i]):
@@ -281,7 +288,7 @@ def reference_search(h, trials, seed, tol=geometry.DEFAULT_WITNESS_TOL):
 
     for _, q in candidates[: geometry.REFINE_TOP]:
         best = q
-        best_score = geometry._min_entry(best, basis)
+        best_score = unblocked_min_entry(best, basis)
         step = 0.3
         for _ in range(geometry.REFINE_STEPS):
             g = rng.standard_normal((8, c, c))
@@ -289,7 +296,7 @@ def reference_search(h, trials, seed, tol=geometry.DEFAULT_WITNESS_TOL):
             first = 0
             while first < len(turns):
                 props = best @ turns[first:]
-                scores = geometry._min_entry(props, basis)
+                scores = unblocked_min_entry(props, basis)
                 better = np.flatnonzero(scores > best_score)
                 if not better.size:
                     break
@@ -502,6 +509,68 @@ class TestPrunedSearch:
         assert (got is None) == (want is None)
         assert got is None or got.tobytes() == want.tobytes()
         assert 512 in sizes[1:], sizes
+
+
+# (classes, columns, candidates): at 400 columns the stacks end in part
+# blocks (a single row among them); the wide bases make each block of
+# _min_entry hold one candidate.
+BLOCK_CASES = [(3, 400, 513), (3, 400, 328), (10, 400, 513), (10, 400, 328),
+               (3, 22_000, 5), (10, 7_000, 5)]
+
+
+class TestBlockedScores:
+    """Score products formed block by block carry the bits of one product
+    over the whole stack."""
+
+    @pytest.mark.parametrize("least", [1, 2])
+    def test_blocks_cover_each_row_once(self, least):
+        for n in range(12):
+            sizes = []
+            got = geometry._in_blocks(lambda x: sizes.append(len(x)) or x,
+                                      np.arange(n), geometry._BLOCK // 3, least)
+            np.testing.assert_array_equal(got, np.arange(n))
+            assert max(sizes) <= 3 + least - 1
+            assert n < least or min(sizes) >= least
+
+    @pytest.mark.parametrize("block", ["default", "smallest"])
+    @pytest.mark.parametrize("c, m, k", BLOCK_CASES)
+    def test_same_bits_as_one_product(self, monkeypatch, c, m, k, block):
+        if block == "smallest":  # one matrix, or two rows, per block
+            monkeypatch.setattr(geometry, "_BLOCK", 1)
+        basis = profile_columns(c, "dirichlet", m, seed=m)
+        g = np.random.default_rng([c, m, k]).standard_normal((k, c, c))
+        qs = geometry._orthogonal_from_gaussian(g)
+        whole = unblocked_min_entry(qs, basis)
+        if m > 1000:
+            assert 2 * basis.size > geometry._BLOCK  # a block holds one candidate
+        assert geometry._min_entry(qs, basis).tobytes() == whole.tobytes()
+        assert geometry._min_entry(qs[1], basis) == unblocked_min_entry(qs[1], basis)
+        cut = float(np.median(whole))
+
+        def helpers():
+            return [geometry._leading_bound(g, basis), geometry._leading_bound(g, basis, cut),
+                    geometry._screen_columns(qs[: geometry.REFINE_TOP], basis)]
+
+        blocked = helpers()
+        with monkeypatch.context() as patched:
+            patched.setattr(geometry, "_in_blocks", lambda f, x, *args: f(x))
+            unblocked = helpers()
+        for got, want in zip(blocked, unblocked):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestSearchMemory:
+    def test_peak_does_not_grow_with_the_batch_product(self):
+        # One (512, C, m) product of the first Haar batch would be 164 MB here.
+        h = data.gen_simplex_feature(10, 4000, "edge-scattered", 0.9, 0).clean_posterior.T
+        tracemalloc.start()
+        try:
+            q = geometry.search_rotation_witness(h, trials=10_000, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert q is None
+        assert peak < 8e6
 
 
 class TestExtremeColumns:
