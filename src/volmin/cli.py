@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import os
 import platform
 import sys
@@ -513,7 +514,10 @@ def _write_manifest(out_dir: Path, command: str, cfg, inputs: list[Path], wall: 
     fileio.atomic_write_text(out_dir / "manifest.txt", "\n".join(lines) + "\n")
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first `main` call and reused by
+    later calls in the same process; never at import."""
     parser = argparse.ArgumentParser(
         prog="volmin",
         description="Label-noise experiments: transition-matrix volume minimization.",
@@ -537,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = _apply_overrides(config.load_config(args.config), args.out, args.seed)
         out_dir = Path(cfg.out_dir)

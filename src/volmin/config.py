@@ -164,14 +164,14 @@ SCHEMA = {
         "matrix_path": (str, ""),
     },
     "train": {
-        "lam": (_float, _TRAIN.lam),
+        "lam": (_ranged(_float, 0), _TRAIN.lam),
         "epochs": (_ranged(_int, 1), _TRAIN.epochs),
         "batch_size": (_ranged(_int, 1), _TRAIN.batch_size),
         "hidden": (_widths, _TRAIN.hidden),
-        "classifier_lr": (_float, _TRAIN.classifier_opt.lr),
+        "classifier_lr": (_ranged(_float, 0), _TRAIN.classifier_opt.lr),
         "classifier_momentum": (_ranged(_float, 0, 1, "[)"), _TRAIN.classifier_opt.momentum),
-        "classifier_weight_decay": (_float, _TRAIN.classifier_opt.weight_decay),
-        "transition_lr": (_float, _TRAIN.transition_opt.lr),
+        "classifier_weight_decay": (_ranged(_float, 0), _TRAIN.classifier_opt.weight_decay),
+        "transition_lr": (_ranged(_float, 0), _TRAIN.transition_opt.lr),
         "transition_momentum": (_ranged(_float, 0, 1, "[)"), _TRAIN.transition_opt.momentum),
         "lr_schedule": (_schedule, _TRAIN.lr_schedule),
         "selection_metric": (_choice(*trainer.SELECTION_METRICS), _TRAIN.selection_metric),

@@ -12,14 +12,17 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from volmin import (
+    cli,
     config,
     data,
-    estimators,
     geometry,
     linalg,
     model,
@@ -187,29 +190,27 @@ def test_c2_construction_invariants():
 # Criteria 3 and 4: full training protocol, three classes, five seeds.
 
 
-def _protocol_run(profile, cap, kind, rate, seed):
-    """One protocol trial: returns (volmin_err, anchor_max_err, linf)."""
-    ds = data.gen_simplex_feature(3, 20000, profile, cap=cap, seed=seed)
-    t_true = noise.build_transition(noise.NoiseSpec(kind, 3, rate=rate))
-    ds = ds.with_noisy(noise.corrupt_labels(ds.y_clean, t_true, seed=seed))
-    pool, test = data.split(ds, 0.1, seed=seed)
-    tr, va = data.split(pool, 0.1, seed=seed)
-    cfg = trainer.TrainConfig(seed=seed)
-
-    res = trainer.train(tr, va, cfg, true_transition=t_true)
-    err = noise.estimation_error(t_true, res.transition)
-    h = model.forward_batch(res.params, test.x)
-    linf = float(np.abs(h - test.clean_posterior).max(axis=1).mean())
-
-    g = estimators.fit_noisy_posterior(tr, va, cfg)
-    t_anchor = estimators.anchor_estimate_max(g.params, tr.x)
-    anchor_err = noise.estimation_error(t_true, t_anchor)
-    return err, anchor_err, linf
-
-
 def _protocol_means(profile, cap, kind, rate):
+    """`volmin sweep` on one leg over SEEDS, one process per core; returns the
+    means of volmin's error, anchor-max's error and volmin's posterior gap."""
+    with tempfile.TemporaryDirectory() as out:
+        cfg = Path(out, "leg.cfg")
+        cfg.write_text(
+            "data.generator = simplex\ndata.classes = 3\ndata.n = 20000\n"
+            f"data.profile = {profile}\ndata.cap = {cap}\nnoise.kind = {kind}\n"
+            f"noise.rate = {rate}\nestimators.methods = volmin, anchor-max\n"
+            f"trials.seeds = {', '.join(map(str, SEEDS))}\noutput.dir = {out}\n",
+            encoding="utf-8",
+        )
+        threads = {"VOLMIN_THREADS": str(len(os.sched_getaffinity(0)))}
+        with mock.patch.dict(os.environ, threads):
+            assert cli.main(["sweep", "--config", str(cfg)]) == 0
+        text = Path(out, "sweep.csv").read_text(encoding="utf-8")
+    row = {tuple(r[:2]): r for r in (line.split(",") for line in text.splitlines())}
     runs = np.array(
-        [_protocol_run(profile, cap, kind, rate, s) for s in SEEDS]
+        [[row["volmin", str(s)][2], row["anchor-max", str(s)][2], row["volmin", str(s)][4]]
+         for s in SEEDS],
+        dtype=float,
     )
     return runs[:, 0].mean(), runs[:, 1].mean(), runs[:, 2].mean()
 

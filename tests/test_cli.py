@@ -5,6 +5,8 @@ end-to-end examples (identity noise, anchor-free ordering)."""
 import hashlib
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -677,19 +679,23 @@ class TestSweep:
         assert snapshot == after
 
     def test_parallel_matches_sequential(self, tmp_path, monkeypatch):
-        cfg_a = write_cfg(tmp_path, SWEEP, name="a.cfg", out="out_a")
-        cfg_b = write_cfg(tmp_path, SWEEP, name="b.cfg", out="out_b")
+        # every output but manifest.txt (wall time, out_dir) is byte-identical
+        cfg = write_cfg(tmp_path, SWEEP)
         monkeypatch.delenv("VOLMIN_THREADS", raising=False)
-        assert run("sweep", "--config", cfg_a) == 0
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "out_a") == 0
         monkeypatch.setenv("VOLMIN_THREADS", "2")
-        assert run("sweep", "--config", cfg_b) == 0
-        a = (tmp_path / "out_a" / "sweep.csv").read_bytes()
-        b = (tmp_path / "out_b" / "sweep.csv").read_bytes()
-        assert a == b
-        for s in (0, 1):
-            ta = (tmp_path / "out_a" / f"seed_{s}" / "estimated_transition.txt")
-            tb = (tmp_path / "out_b" / f"seed_{s}" / "estimated_transition.txt")
-            assert ta.read_bytes() == tb.read_bytes()
+        assert run("sweep", "--config", cfg, "--out", tmp_path / "out_b") == 0
+
+        def outputs(out):
+            return {
+                p.relative_to(out): p.read_bytes()
+                for p in sorted(out.rglob("*"))
+                if p.is_file() and p.name != "manifest.txt"
+            }
+
+        a = outputs(tmp_path / "out_a")
+        assert Path("sweep.csv") in a and Path("seed_1", "history.csv") in a
+        assert a == outputs(tmp_path / "out_b")
 
     def test_singular_anchor_estimate_leaves_accuracy_empty(
         self, tmp_path, monkeypatch
@@ -840,6 +846,21 @@ class TestOverrides:
         assert run("generate", "--config", cfg, "--out", other) == 0
         assert (other / "dataset.csv").exists()
         assert not (tmp_path / "out" / "dataset.csv").exists()
+
+    def test_parser_built_on_first_call_and_reused(self, tmp_path):
+        # importing the CLI builds no parser; the one built on the first
+        # call serves the next, and each call's overrides stay its own
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from volmin import cli; print(cli._parser.cache_info().currsize)"],
+            capture_output=True, text=True,
+        )
+        assert proc.stdout == "0\n", proc.stderr
+        cfg = write_cfg(tmp_path, TINY)
+        assert run("generate", "--config", cfg, "--seed", "1", "--out", tmp_path / "a") == 0
+        assert run("generate", "--config", cfg) == 0
+        assert "seeds = 1\n" in (tmp_path / "a" / "manifest.txt").read_text(encoding="utf-8")
+        assert "seeds = 0\n" in (tmp_path / "out" / "manifest.txt").read_text(encoding="utf-8")
 
 
 class TestDocumentedExamples:

@@ -284,7 +284,11 @@ KEY_RANGES = [
     ("train.epochs", "0", "must be >= 1, got 0"),
     ("train.batch_size", "-4", "must be >= 1, got -4"),
     ("train.hidden", "8, 0", "must list at most two positive widths, got 8, 0"),
+    ("train.lam", "-1", "must be >= 0, got -1.0"),
+    ("train.classifier_lr", "-0.01", "must be >= 0, got -0.01"),
     ("train.classifier_momentum", "5", "must be in [0, 1), got 5.0"),
+    ("train.classifier_weight_decay", "-1e-3", "must be >= 0, got -0.001"),
+    ("train.transition_lr", "-2", "must be >= 0, got -2.0"),
     ("train.transition_momentum", "-0.5", "must be in [0, 1), got -0.5"),
     ("train.lr_schedule", "5:2, 9:-1", "divisors must be positive, got '9:-1'"),
     ("train.val_fraction", "1", "must be in (0, 1), got 1.0"),
@@ -313,6 +317,7 @@ class TestKeyRanges:
             "data.cap = 1",
             "data.remove_anchor_fraction = 0",
             "data.d = 0",
+            "train.lam = 0",
             "train.classifier_momentum = 0",
             "train.transition_momentum = 0",
             "geometry.coverage_tol = 1e-300",
@@ -413,6 +418,14 @@ class TestLoadConfig:
     def test_missing_file(self, tmp_path):
         with pytest.raises(config.ConfigError, match="cannot read config"):
             config.load_config(tmp_path / "absent.cfg")
+
+    def test_every_study_config_loads(self):
+        # parses only; running a study trains its full protocol
+        studies = Path(__file__).resolve().parent.parent / "studies"
+        paths = sorted(studies.glob("*.cfg"))
+        assert len(paths) >= 4
+        for path in paths:
+            assert config.load_config(path).source == str(path)
 
 
 class TestReadmeKeyTable:
