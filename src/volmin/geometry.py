@@ -14,22 +14,19 @@ simplex). Two properties are probed:
     search either produces a witness Q or reports that none was found.
     Its Haar batches after the first QR-factor only the candidates whose
     score, bounded from above by their Gaussian draw's leading columns
-    (_leading_bound), can still reach the leaders kept so far, and are
-    screened by an upper bound on each candidate's score over a column
-    subset (_batch_top).
+    (_leading_bound), can still reach the leaders kept so far; each batch
+    keeps its REFINE_TOP best scores, ties going to the lower index.
 
 No shortcut changes a report: a certified ray is one the NNLS would also
-cover, a skipped candidate scores below every candidate that can be
-returned or refined, and screening ranks exactly the leaders a full
-scoring ranks.
+cover, and a skipped candidate scores below every candidate that can be
+returned or refined.
 
-Every score product (Q^T H over a stack of candidates, the leaders'
-screening product, and the rows of a leading-column bound times H) is
-formed over blocks of about _BLOCK = 2^17 entries and reduced to its
-minima block by block (_in_blocks), so the search holds O(C m + _BLOCK)
-doubles of products instead of a whole Haar batch's 512 C m. Each
-candidate is still one gemm of the same shape and a minimum is exact, so
-blocking moves no bit either.
+Every score product (Q^T H over a stack of candidates, and the rows of a
+leading-column bound times H) is formed over blocks of about _BLOCK = 2^17
+entries and reduced to its minima block by block (_in_blocks), so the
+search holds O(C m + _BLOCK) doubles of products instead of a whole Haar
+batch's 512 C m. Each candidate is still one gemm of the same shape and a
+minimum is exact, so blocking moves no bit either.
 
 Also here: the anchor-point check (some column per class with posterior
 entry >= 1 - delta) and the closed-form minimum-volume enclosing
@@ -41,7 +38,7 @@ RNG streams: 401 ray sampling, 402 rotation search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -64,11 +61,6 @@ _SEED_RAYS = 32
 # The rotation search hill-climbs its REFINE_TOP best candidates, REFINE_STEPS rounds each.
 REFINE_TOP = 8
 REFINE_STEPS = 60
-# Haar batches after the first are ranked by their minimum over the
-# _SCREEN_COLUMNS lowest columns of each of the first batch's leaders, up
-# to this much rounding slack, before any exact score.
-_SCREEN_COLUMNS = 16
-_SCREEN_SLACK = 1e-12
 # Haar batches after the first QR-factor only the candidates whose bound
 # from the first _LEAD_COLUMNS Gram-Schmidt columns of their Gaussian draw
 # reaches the cut, up to _LEAD_SLACK; a later column counts only while its
@@ -296,48 +288,6 @@ def _min_entry(q: np.ndarray, basis: np.ndarray):
     return (np.swapaxes(q, -1, -2) @ basis).min(axis=(-2, -1))
 
 
-def _screen_columns(leaders: np.ndarray, basis: np.ndarray) -> np.ndarray | None:
-    """The columns that bound the candidates of later Haar batches: for each
-    of the first batch's leaders, the _SCREEN_COLUMNS columns with the
-    lowest entries in Q^T H. None when they would be more than half of H,
-    where screening saves too little."""
-    m = basis.shape[1]
-    if 2 * _SCREEN_COLUMNS > m:
-        return None
-    lows = _in_blocks(
-        lambda qs: (np.swapaxes(qs, -1, -2) @ basis).min(axis=-2), leaders, basis.size
-    )
-    cols = np.unique(np.argpartition(lows, _SCREEN_COLUMNS - 1, axis=1)[:, :_SCREEN_COLUMNS])
-    return basis[:, cols] if 2 * cols.size <= m else None
-
-
-def _batch_top(qs: np.ndarray, basis: np.ndarray, screen: np.ndarray | None):
-    """Indices of the REFINE_TOP best candidates of a Haar batch and their
-    scores, exactly as `np.argsort(-_min_entry(qs, basis))` ranks them.
-
-    A candidate's minimum over the `screen` columns bounds its score from
-    above. So with a screen, exact scores are computed in bound order only
-    until the next bound falls below the REFINE_TOP-th best exact score by
-    more than _SCREEN_SLACK, which covers the rounding of the two products;
-    every candidate after it scores lower still. When two leaders tie,
-    argsort's order between them depends on the whole batch, so then the
-    whole batch is scored."""
-    if screen is not None and len(qs) > REFINE_TOP:
-        bound = _min_entry(qs, screen)
-        order = np.argsort(-bound)
-        head = _min_entry(qs[order[:REFINE_TOP]], basis)
-        reach = np.count_nonzero(bound + _SCREEN_SLACK >= head.min())
-        idx = order[:reach]
-        scores = np.concatenate([head, _min_entry(qs[idx[REFINE_TOP:]], basis)])
-        rank = np.argsort(-scores)[: REFINE_TOP + 1]
-        if (np.diff(scores[rank]) < 0).all():
-            rank = rank[:REFINE_TOP]
-            return idx[rank], scores[rank]
-    scores = _min_entry(qs, basis)
-    top = np.argsort(-scores)[:REFINE_TOP]
-    return top, scores[top]
-
-
 def _leading_bound(g: np.ndarray, basis: np.ndarray, cut: float = -np.inf) -> np.ndarray:
     """Upper bound on the score `_min_entry(_orthogonal_from_gaussian(g),
     basis)` of each Gaussian matrix of a stack, without its QR, exact up to
@@ -405,9 +355,11 @@ def search_rotation_witness(
     candidate is no witness, and it could only have entered this batch's
     leaders behind all that do reach the cut, never the final REFINE_TOP,
     since that many kept candidates outscore it. The survivors' QR is the
-    whole batch's, matrix by matrix, so they rank as the whole batch
-    ranks; when their leaders tie, the batch is ranked unpruned. So the
-    search returns the same bits as without the pruning.
+    whole batch's, matrix by matrix, and they stay in index order. Each
+    batch keeps its REFINE_TOP best by a stable ranking, so ties go to the
+    lower index and the survivors rank as the whole batch ranks with the
+    skipped draws left out. So the search returns the same bits as without
+    the pruning.
 
     Memory: every stack is scored in blocks of at most 2^17 product
     entries (at least one candidate each), so the search's products take
@@ -427,40 +379,22 @@ def search_rotation_witness(
         return score >= -tol and _signed_permutation_distance(q) > PERMUTATION_BALL
 
     candidates = []  # (score, q), best few kept for refinement
-    screen = None  # the columns later batches are screened on
     batch = 512
     done = 0
     while done < trials:
         k = min(batch, trials - done)
         g = rng.standard_normal((k, c, c))
-        keep = np.arange(k)
         if done:
             # Below the cut a candidate is no witness, and 8 kept candidates
             # outscore it, so it can never be refined: skip its QR.
             cut = min(sorted(score for score, _ in candidates)[-REFINE_TOP], -tol)
-            keep = np.flatnonzero(~(_leading_bound(g, basis, cut) + _LEAD_SLACK < cut))
-        if len(keep) == k:  # nothing pruned: free the draw before scoring
-            qs, g = _orthogonal_from_gaussian(g), None
-        else:
-            qs = _orthogonal_from_gaussian(g[keep])
-        top, scores = _batch_top(qs, basis, screen)
-        if g is not None:
-            # The survivors rank as the whole batch does unless leaders that
-            # reach the cut tie, since argsort orders ties by the whole array.
-            # The 8th and 9th matter only when the 8th reaches the cut; only
-            # then are all survivors scored to find the 9th.
-            lead = scores
-            if len(keep) > REFINE_TOP and scores[-1] >= cut:
-                lead = -np.sort(-_min_entry(qs, basis))[: REFINE_TOP + 1]
-            if not (np.diff(lead) < 0).all():
-                qs = _orthogonal_from_gaussian(g)
-                top, scores = _batch_top(qs, basis, screen)
-        for i, score in zip(top, scores):
-            if is_witness(qs[i], score):
+            g = g[~(_leading_bound(g, basis, cut) + _LEAD_SLACK < cut)]
+        qs = _orthogonal_from_gaussian(g)
+        scores = _min_entry(qs, basis)
+        for i in np.argsort(-scores, kind="stable")[:REFINE_TOP]:
+            if is_witness(qs[i], scores[i]):
                 return qs[i].copy()
-            candidates.append((float(score), qs[i].copy()))
-        if not done:
-            screen = _screen_columns(qs[top], basis)
+            candidates.append((float(scores[i]), qs[i].copy()))
         done += k
     candidates.sort(key=lambda sq: -sq[0])
 
@@ -541,8 +475,8 @@ class ScatterReport:
     witness_tol: float
     rotation_witness: np.ndarray | None
     anchor_delta: float
-    per_class_max: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    anchor_verdict: bool = False
+    per_class_max: np.ndarray
+    anchor_verdict: bool
 
     @property
     def scattered_verdict(self) -> bool:
@@ -583,7 +517,11 @@ def analyze_scattering(
     witness_tol: float = DEFAULT_WITNESS_TOL,
     anchor_delta: float = DEFAULT_ANCHOR_DELTA,
 ) -> ScatterReport:
-    """Run all three checks on one posterior matrix, reducing H once."""
+    """Run all three checks on one posterior matrix.
+
+    H is reduced to its extreme columns and the reduced matrix goes to the
+    coverage check and the witness search; each of them reduces it again
+    (dropping nothing), so a report reduces H three times."""
     h = as_posterior_matrix(h)
     if trials < 1:
         raise ValueError("trials must be positive")
