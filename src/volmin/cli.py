@@ -204,7 +204,7 @@ def _train_volmin(cfg, seed, out_dir, train_set, val_set, t_true) -> trainer.Tra
 
 
 def _anchor_methods(cfg) -> tuple[str, ...]:
-    return tuple(m for m in cfg.get("estimators", "methods") if m.startswith("anchor-"))
+    return tuple(m for m in cfg.get("estimators", "methods") if m in estimators.TWO_STAGE)
 
 
 def _estimate_anchor(
@@ -218,13 +218,11 @@ def _estimate_anchor(
             train_set, val_set, cfg.train_config(seed)
         ).params
     model.save_classifier(out_dir / "classifier_noisy.txt", params)
+    p = model.forward_batch(params, train_set.x)
+    opts = cfg.values["estimators"]
     estimates, report = {}, []
     for method in _anchor_methods(cfg):
-        if method == "anchor-max":
-            t_est = estimators.anchor_estimate_max(params, train_set.x)
-        else:
-            alpha = cfg.get("estimators", "alpha")
-            t_est = estimators.anchor_estimate_percentile(params, train_set.x, alpha)
+        t_est = estimators.TWO_STAGE[method](p, opts)
         if t_true is not None:
             err_text = repr(noise.estimation_error(t_true, t_est))
         else:

@@ -29,12 +29,12 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import data, fileio, geometry, noise, trainer
+from . import data, estimators, fileio, geometry, noise, trainer
 
 DEFAULT_SEEDS = (0, 1, 2, 3, 4)
 
 GENERATORS = ("simplex", "gaussian", "csv")
-METHODS = ("volmin", "anchor-max", "anchor-percentile")
+METHODS = ("volmin", *estimators.TWO_STAGE)
 
 
 class ConfigError(ValueError):
@@ -178,7 +178,7 @@ SCHEMA = {
         "val_fraction": (_ranged(_float, 0, 1, "()"), 0.1),
     },
     "estimators": {
-        "methods": (_method_list, ("volmin", "anchor-max")),
+        "methods": (_method_list, _method_list("volmin, anchor-max")),
         "alpha": (_ranged(_float, 0, 100, "()"), 3.0),
     },
     "geometry": {

@@ -745,7 +745,30 @@ class TestSinglePipeline:
                 assert (staged / name).read_bytes() == got, (balance, name)
 
     def test_each_anchor_estimate_computed_once(self, tmp_path, monkeypatch):
+        # Both anchor methods read one forward pass of the noisy-posterior
+        # fit over the training rows.
         monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        fits, train_xs, train_forwards = [], [], []
+        original_fit, original_splits = estimators.fit_noisy_posterior, cli._splits
+        original_forward = model.forward_batch
+
+        def fit(*args, **kwargs):
+            res = original_fit(*args, **kwargs)
+            fits.append(res.params)
+            return res
+
+        def splits(*args, **kwargs):
+            out = original_splits(*args, **kwargs)
+            train_xs.append(out[0].x)
+            return out
+
+        def forward(params, x):
+            train_forwards.extend(p is params and t is x for p, t in zip(fits, train_xs))
+            return original_forward(params, x)
+
+        monkeypatch.setattr(estimators, "fit_noisy_posterior", fit)
+        monkeypatch.setattr(cli, "_splits", splits)
+        monkeypatch.setattr(model, "forward_batch", forward)
         calls = {}
         for name in ("anchor_estimate_max", "anchor_estimate_percentile"):
             original = getattr(estimators, name)
@@ -759,6 +782,7 @@ class TestSinglePipeline:
         assert run("sweep", "--config", cfg) == 0
         # two seeds, one call per anchor method and seed
         assert calls == {"anchor_estimate_max": 2, "anchor_estimate_percentile": 2}
+        assert len(fits) == 2 and sum(train_forwards) == 2
 
     def test_test_set_forwarded_once_per_model(self, tmp_path, monkeypatch):
         # One trial forwards the volmin classifier and the noisy-posterior

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from volmin import config, geometry, trainer
+from volmin import config, estimators, geometry, trainer
 
 
 class TestDefaults:
@@ -146,7 +146,10 @@ class TestRejections:
             config.parse_config("train.lr_schedule = 30\n")
 
     def test_unknown_method(self):
-        with pytest.raises(config.ConfigError, match="unknown method 'blended'"):
+        # The choices are volmin, then the two-stage table in its order.
+        names = ", ".join(["volmin", *estimators.TWO_STAGE])
+        message = re.escape(f"unknown method 'blended'; choose from {names}") + "$"
+        with pytest.raises(config.ConfigError, match=message):
             config.parse_config("estimators.methods = blended\n")
 
     def test_repeated_method(self):
@@ -444,3 +447,6 @@ class TestReadmeKeyTable:
             section, _, key = name.partition(".")
             parse, default = config.SCHEMA[section][key]
             assert parse(default_cell) == default, name
+        # The methods row's range cell is the list of methods, in order.
+        ranges = {row[0]: row[2] for row in rows}
+        assert ranges["estimators.methods"].split(", ") == list(config.METHODS)

@@ -7,12 +7,12 @@ import math
 import numpy as np
 import pytest
 
-from volmin import data, estimators, noise, trainer
+from volmin import config, data, estimators, model, noise, trainer
 
 
-def posterior_oracle(t):
+def posterior_oracle(t, xs):
     """Noisy-posterior oracle for simplex-feature data: rows are T @ p."""
-    return lambda xs: xs @ t.T
+    return xs @ t.T
 
 
 class TestAnchorMax:
@@ -21,7 +21,7 @@ class TestAnchorMax:
         for c in (2, 3, 5):
             t = noise.build_transition(noise.NoiseSpec("symmetric", c, rate=0.2))
             xs = np.vstack([np.eye(c), rng.dirichlet([1] * c, size=200)])
-            est = estimators.anchor_estimate_max(posterior_oracle(t), xs)
+            est = estimators.anchor_estimate_max(posterior_oracle(t, xs))
             assert np.abs(est - t).max() < 1e-12
 
     def test_capped_posterior_bias(self):
@@ -31,7 +31,7 @@ class TestAnchorMax:
         q = np.concatenate([rng.uniform(0.05, 0.95, size=5000), [0.05, 0.95]])
         xs = np.stack([q, 1 - q], axis=1)
         t = np.array([[0.8, 0.2], [0.2, 0.8]])
-        est = estimators.anchor_estimate_max(posterior_oracle(t), xs)
+        est = estimators.anchor_estimate_max(posterior_oracle(t, xs))
         np.testing.assert_allclose(est, [[0.77, 0.23], [0.23, 0.77]], atol=1e-12)
         # The error is bounded below by the analytic cap gap.
         gap = 4 * (0.8 - 0.77) / np.abs(t).sum()
@@ -39,42 +39,29 @@ class TestAnchorMax:
 
     def test_tie_breaks_to_lowest_index(self):
         p = np.array([[0.6, 0.4], [0.7, 0.3], [0.7, 0.3], [0.2, 0.8]])
-        est = estimators.anchor_estimate_max(lambda xs: p, np.zeros((4, 1)))
+        est = estimators.anchor_estimate_max(p)
         np.testing.assert_array_equal(est[:, 0], p[1])  # first of the two 0.7 rows
 
-    def test_permutation_equivariance_exact(self):
-        rng = np.random.default_rng(53)
-        t = noise.build_transition(noise.NoiseSpec("pair", 4, rate=0.3))
-        xs = rng.dirichlet([0.5] * 4, size=500)
-        perm = rng.permutation(4)
-        p_mat = np.eye(4)[perm]
-        base = estimators.anchor_estimate_max(posterior_oracle(t), xs)
-        permuted = estimators.anchor_estimate_max(
-            lambda z: (z @ t.T) @ p_mat.T, xs
-        )
-        assert np.array_equal(p_mat @ base @ p_mat.T, permuted)
-
     def test_empty_instances_rejected(self):
-        with pytest.raises(ValueError):
-            estimators.anchor_estimate_max(lambda xs: xs, np.zeros((0, 2)))
+        for p in (np.zeros((0, 2)), np.zeros(3)):  # no rows; one row, not 2-D
+            with pytest.raises(ValueError, match="non-empty"):
+                estimators.anchor_estimate_max(p)
 
 
 class TestAnchorPercentile:
     def test_alpha_bounds(self):
-        xs = np.full((10, 2), 0.5)
+        p = np.full((10, 2), 0.5)
         for alpha in (0.0, -1.0, 100.0, 150.0):
             with pytest.raises(ValueError):
-                estimators.anchor_estimate_percentile(lambda z: z, xs, alpha)
+                estimators.anchor_estimate_percentile(p, alpha)
 
     def test_small_alpha_matches_max_on_large_sample(self):
         rng = np.random.default_rng(54)
         q = rng.uniform(0.05, 0.95, size=50)
-        xs = np.stack([q, 1 - q], axis=1)
         t = np.array([[0.8, 0.2], [0.2, 0.8]])
-        est_max = estimators.anchor_estimate_max(posterior_oracle(t), xs)
-        est_pct = estimators.anchor_estimate_percentile(
-            posterior_oracle(t), xs, 1e-6
-        )
+        p = posterior_oracle(t, np.stack([q, 1 - q], axis=1))
+        est_max = estimators.anchor_estimate_max(p)
+        est_pct = estimators.anchor_estimate_percentile(p, 1e-6)
         assert np.array_equal(est_max, est_pct)
 
     def test_percentile_order_statistic(self):
@@ -82,11 +69,10 @@ class TestAnchorPercentile:
         # cross-checked against the ascending nearest-rank percentile.
         rng = np.random.default_rng(55)
         q = rng.uniform(0.05, 0.95, size=2001)
-        xs = np.stack([q, 1 - q], axis=1)
         t = np.array([[0.8, 0.2], [0.2, 0.8]])
-        p = posterior_oracle(t)(xs)
+        p = posterior_oracle(t, np.stack([q, 1 - q], axis=1))
         alpha = 3.0
-        est = estimators.anchor_estimate_percentile(posterior_oracle(t), xs, alpha)
+        est = estimators.anchor_estimate_percentile(p, alpha)
         n = len(q)
         desc = np.sort(p[:, 0])[::-1]
         assert est[0, 0] == desc[math.floor(alpha / 100 * n)]
@@ -94,28 +80,32 @@ class TestAnchorPercentile:
         assert est[0, 0] == asc[math.ceil((1 - alpha / 100) * n) - 1]
 
     def test_uniform_posterior_gives_uniform_columns(self):
-        fn = lambda xs: np.full((xs.shape[0], 3), 1.0 / 3.0)
+        p = np.full((40, 3), 1.0 / 3.0)
         for alpha in (1.0, 3.0, 50.0, 99.0):
-            est = estimators.anchor_estimate_percentile(fn, np.zeros((40, 3)), alpha)
+            est = estimators.anchor_estimate_percentile(p, alpha)
             np.testing.assert_array_equal(est, np.full((3, 3), 1.0 / 3.0))
 
     def test_exact_recovery_with_anchor_repeats(self):
         # Enough exact anchors that the percentile index still lands on one.
         t = noise.build_transition(noise.NoiseSpec("symmetric", 3, rate=0.1))
         xs = np.repeat(np.eye(3), 50, axis=0)
-        est = estimators.anchor_estimate_percentile(posterior_oracle(t), xs, 3.0)
+        est = estimators.anchor_estimate_percentile(posterior_oracle(t, xs), 3.0)
         assert np.abs(est - t).max() < 1e-12
 
-    def test_permutation_equivariance_exact(self):
-        rng = np.random.default_rng(56)
-        t = noise.build_transition(noise.NoiseSpec("symmetric", 3, rate=0.2))
-        xs = rng.dirichlet([0.7] * 3, size=300)
-        perm = np.array([1, 2, 0])
-        p_mat = np.eye(3)[perm]
-        base = estimators.anchor_estimate_percentile(posterior_oracle(t), xs, 5.0)
-        permuted = estimators.anchor_estimate_percentile(
-            lambda z: (z @ t.T) @ p_mat.T, xs, 5.0
-        )
+
+class TestTwoStage:
+    @pytest.mark.parametrize("method", list(estimators.TWO_STAGE))
+    def test_permutation_equivariance_exact(self, method):
+        # Relabelling the noisy classes permutes T-hat's rows and columns alike.
+        rng = np.random.default_rng(53)
+        t = noise.build_transition(noise.NoiseSpec("pair", 4, rate=0.3))
+        p = posterior_oracle(t, rng.dirichlet([0.5] * 4, size=500))
+        perm = rng.permutation(4)
+        p_mat = np.eye(4)[perm]
+        estimate = estimators.TWO_STAGE[method]
+        opts = config.parse_config("").values["estimators"]
+        base = estimate(p, opts)
+        permuted = estimate(p[:, perm], opts)
         assert np.array_equal(p_mat @ base @ p_mat.T, permuted)
 
 
@@ -148,8 +138,6 @@ class TestFitNoisyPosterior:
         val_set, test_set = data.split(rest, 0.5, seed=62)
         cfg = trainer.TrainConfig(epochs=40, seed=61, hidden=(32,))
         res = estimators.fit_noisy_posterior(train_set, val_set, cfg)
-        from volmin import model
-
         g_hat = model.forward_batch(res.params, test_set.x)
         g_true = test_set.clean_posterior @ t.T
         assert np.abs(g_hat - g_true).max(axis=1).mean() < 0.05
@@ -191,13 +179,15 @@ class TestFitNoisyPosterior:
         train_set, val_set = data.split(pool, 0.1, seed=0)
         cfg = trainer.TrainConfig(epochs=30, seed=0)
         res = estimators.fit_noisy_posterior(train_set, val_set, cfg)
-        from volmin import linalg, model
+        from volmin import linalg
 
         g_hat = model.forward_batch(res.params, test_set.x)
         assert (g_hat.max(axis=0) > model.SMOOTHING / 10).all()
         g_true = test_set.clean_posterior @ t.T
         assert np.abs(g_hat - g_true).max(axis=1).mean() < 0.1
-        t_anchor = estimators.anchor_estimate_max(res.params, train_set.x)
+        t_anchor = estimators.anchor_estimate_max(
+            model.forward_batch(res.params, train_set.x)
+        )
         assert np.isfinite(linalg.signed_logdet(t_anchor)[1])
 
     def test_deterministic_per_seed(self):
@@ -209,7 +199,3 @@ class TestFitNoisyPosterior:
         assert r1.history.to_csv() == r2.history.to_csv()
         for a, b in zip(r1.params.weights, r2.params.weights):
             assert np.array_equal(a, b)
-
-    def test_rejects_params_of_wrong_type(self):
-        with pytest.raises(TypeError):
-            estimators.anchor_estimate_max(object(), np.zeros((3, 2)))
