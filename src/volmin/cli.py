@@ -20,8 +20,11 @@ that config keys name, an output directory that cannot be created, empty
 splits, and a class left empty under data.balance), 3 numerical failure (a
 training run's non-finite loss or weights or singular transition; the
 message names the seed and the run, as in `seed 0 volmin: ...`). The
-environment variable VOLMIN_THREADS caps how many sweep trials run in
-parallel; unset or 1 means sequential.
+environment variable VOLMIN_THREADS sets how many processes a sweep runs
+on, each training one contiguous chunk of the seeds; unset or 1 means one
+process for all of them. Either way the seeds of a chunk whose splits have
+equal sizes train in lockstep (`trainer.train`), and every output is the
+same byte for byte.
 """
 
 from __future__ import annotations
@@ -171,22 +174,17 @@ def _splits(cfg, ds_noisy, seed, with_test):
     return train_set, val_set, test_set
 
 
-@contextlib.contextmanager
-def _training(label: str):
-    """A numerical failure in training run `label` raises NumericalFailure."""
-    try:
-        yield
-    except (FloatingPointError, linalg.SingularMatrixError) as exc:
-        raise NumericalFailure(f"{label}: {exc}") from None
+def _checked(label: str, res):
+    """A lockstep trial's result; a trial that failed numerically raises
+    NumericalFailure naming training run `label`."""
+    if isinstance(res, Exception):
+        raise NumericalFailure(f"{label}: {res}")
+    return res
 
 
-def _train_volmin(cfg, seed, out_dir, train_set, val_set, t_true) -> trainer.TrainResult:
-    """Joint training; writes history.csv, estimated_transition.txt,
-    transition_weights.txt and classifier.txt."""
-    with _training(f"seed {seed} volmin"):
-        res = trainer.train(
-            train_set, val_set, cfg.train_config(seed), true_transition=t_true
-        )
+def _write_volmin(out_dir, res: trainer.TrainResult, t_true) -> None:
+    """Writes history.csv, estimated_transition.txt, transition_weights.txt
+    and classifier.txt."""
     fileio.atomic_write_text(out_dir / "history.csv", res.history.to_csv())
     comment = "estimated transition (joint training)"
     if t_true is not None:
@@ -200,7 +198,6 @@ def _train_volmin(cfg, seed, out_dir, train_set, val_set, t_true) -> trainer.Tra
             comment=f"off-diagonal gate weights at selected epoch {res.best_epoch}",
         )
     model.save_classifier(out_dir / "classifier.txt", res.params)
-    return res
 
 
 def _anchor_methods(cfg) -> tuple[str, ...]:
@@ -208,15 +205,12 @@ def _anchor_methods(cfg) -> tuple[str, ...]:
 
 
 def _estimate_anchor(
-    cfg, seed, out_dir, train_set, val_set, t_true
-) -> tuple[model.ClassifierParams, dict[str, np.ndarray]]:
-    """Fit the noisy posterior, then estimate T with each configured anchor
-    method; writes classifier_noisy.txt, one estimated_transition_<method>.txt
-    each and error_report.txt. Returns the fit and the estimates by method."""
-    with _training(f"seed {seed} noisy-posterior fit"):
-        params = estimators.fit_noisy_posterior(
-            train_set, val_set, cfg.train_config(seed)
-        ).params
+    cfg, out_dir, params, train_set, t_true
+) -> dict[str, np.ndarray]:
+    """Estimate T from the noisy-posterior fit `params` with each configured
+    anchor method; writes classifier_noisy.txt, one
+    estimated_transition_<method>.txt each and error_report.txt. Returns the
+    estimates by method."""
     model.save_classifier(out_dir / "classifier_noisy.txt", params)
     p = model.forward_batch(params, train_set.x)
     opts = cfg.values["estimators"]
@@ -235,7 +229,7 @@ def _estimate_anchor(
         report.append(f"{method} estimation_error = {err_text}")
         estimates[method] = t_est
     fileio.atomic_write_text(out_dir / "error_report.txt", "\n".join(report) + "\n")
-    return params, estimates
+    return estimates
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +331,11 @@ def cmd_check_scattered(cfg: config.ExperimentConfig, out_dir: Path) -> list[Pat
 
 def cmd_train_volmin(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
     train_set, val_set, t_true, inputs = _noisy_splits(cfg, out_dir)
-    _train_volmin(cfg, cfg.seeds[0], out_dir, train_set, val_set, t_true)
+    seed = cfg.seeds[0]
+    (res,) = trainer.train(
+        [train_set], [val_set], [cfg.train_config(seed)], true_transition=[t_true]
+    )
+    _write_volmin(out_dir, _checked(f"seed {seed} volmin", res), t_true)
     return inputs
 
 
@@ -347,7 +345,12 @@ def cmd_estimate_anchor(cfg: config.ExperimentConfig, out_dir: Path) -> list[Pat
             "estimators.methods lists no anchor estimator; nothing to do"
         )
     train_set, val_set, t_true, inputs = _noisy_splits(cfg, out_dir)
-    _estimate_anchor(cfg, cfg.seeds[0], out_dir, train_set, val_set, t_true)
+    seed = cfg.seeds[0]
+    (res,) = estimators.fit_noisy_posterior(
+        [train_set], [val_set], [cfg.train_config(seed)]
+    )
+    params = _checked(f"seed {seed} noisy-posterior fit", res).params
+    _estimate_anchor(cfg, out_dir, params, train_set, t_true)
     return inputs
 
 
@@ -355,42 +358,77 @@ def cmd_estimate_anchor(cfg: config.ExperimentConfig, out_dir: Path) -> list[Pat
 # sweep
 
 
-def _run_trial(cfg: config.ExperimentConfig, seed: int, trial_dir_text: str) -> list[dict]:
-    """One full pipeline pass for one seed; returns aggregate rows."""
-    trial_dir = Path(trial_dir_text)
-    trial_dir.mkdir(parents=True, exist_ok=True)
-    ds, t_true = _corrupt(cfg, seed, trial_dir, _generate(cfg, seed, trial_dir))
-    train_set, val_set, test_set = _splits(cfg, ds, seed, with_test=True)
+def _run_trials(cfg: config.ExperimentConfig, seeds, trial_dirs) -> dict[int, list[dict]]:
+    """The full pipeline for each seed, in `trial_dirs[seed]`; returns each
+    seed's aggregate rows.
 
-    rows = []
-    if "volmin" in cfg.get("estimators", "methods"):
-        res = _train_volmin(cfg, seed, trial_dir, train_set, val_set, t_true)
-        h = model.forward_batch(res.params, test_set.x)
-        rows.append(
-            {
-                "method": "volmin",
-                "seed": seed,
-                "est_error": noise.estimation_error(t_true, res.transition),
-                "test_accuracy": float((h.argmax(axis=1) == test_set.y_clean).mean()),
-                "posterior_linf": _posterior_linf(h, test_set),
-            }
-        )
-    if _anchor_methods(cfg):
-        params, estimates = _estimate_anchor(
-            cfg, seed, trial_dir, train_set, val_set, t_true
-        )
-        h = model.forward_batch(params, test_set.x)
-        for method, t_est in estimates.items():
+    Every seed is set up first (generate, corrupt, split). The seeds whose
+    training and validation splits have equal sizes (`data.balance` and
+    anchor removal make them differ) then train in lockstep: one
+    `trainer.train` call for their volmin runs, then one for their noisy
+    fits. Last, each seed's files and rows are written in seed order.
+    Failures surface as a one-seed-at-a-time pass meets them: the lowest
+    seed first, and a seed's set-up before its volmin run before its fit.
+    Nothing of a failed run is written, and a failed set-up stops the
+    set-up of the seeds after it."""
+    trials, setup_failure = [], None
+    for seed in seeds:
+        trial_dir = trial_dirs[seed]
+        try:
+            trial_dir.mkdir(parents=True, exist_ok=True)
+            ds, t_true = _corrupt(cfg, seed, trial_dir, _generate(cfg, seed, trial_dir))
+            splits = _splits(cfg, ds, seed, with_test=True)
+        except config.ConfigError as exc:
+            setup_failure = exc
+            break
+        trials.append((seed, trial_dir, t_true, *splits))
+    groups: dict[tuple[int, int], list] = {}
+    for trial in trials:
+        groups.setdefault((trial[3].n, trial[4].n), []).append(trial)
+    volmin, fits = {}, {}
+    for group in groups.values():
+        group_seeds, _, t_trues, train_sets, val_sets, _ = map(list, zip(*group))
+        configs = [cfg.train_config(s) for s in group_seeds]
+        if "volmin" in cfg.get("estimators", "methods"):
+            results = trainer.train(train_sets, val_sets, configs, true_transition=t_trues)
+            volmin.update(zip(group_seeds, results))
+        if _anchor_methods(cfg):
+            results = estimators.fit_noisy_posterior(train_sets, val_sets, configs)
+            fits.update(zip(group_seeds, results))
+
+    rows_by_seed = {}
+    for seed, trial_dir, t_true, train_set, _, test_set in trials:
+        rows = rows_by_seed[seed] = []
+        if seed in volmin:
+            res = _checked(f"seed {seed} volmin", volmin[seed])
+            _write_volmin(trial_dir, res, t_true)
+            h = model.forward_batch(res.params, test_set.x)
             rows.append(
                 {
-                    "method": method,
+                    "method": "volmin",
                     "seed": seed,
-                    "est_error": noise.estimation_error(t_true, t_est),
-                    "test_accuracy": _corrected_accuracy(h, t_est, test_set),
-                    "posterior_linf": None,
+                    "est_error": noise.estimation_error(t_true, res.transition),
+                    "test_accuracy": float((h.argmax(axis=1) == test_set.y_clean).mean()),
+                    "posterior_linf": _posterior_linf(h, test_set),
                 }
             )
-    return rows
+        if seed in fits:
+            params = _checked(f"seed {seed} noisy-posterior fit", fits[seed]).params
+            estimates = _estimate_anchor(cfg, trial_dir, params, train_set, t_true)
+            h = model.forward_batch(params, test_set.x)
+            for method, t_est in estimates.items():
+                rows.append(
+                    {
+                        "method": method,
+                        "seed": seed,
+                        "est_error": noise.estimation_error(t_true, t_est),
+                        "test_accuracy": _corrected_accuracy(h, t_est, test_set),
+                        "posterior_linf": None,
+                    }
+                )
+    if setup_failure is not None:
+        raise setup_failure
+    return rows_by_seed
 
 
 def _worker_count(n_trials: int) -> int:
@@ -449,21 +487,25 @@ def cmd_sweep(cfg: config.ExperimentConfig, out_dir: Path) -> list[Path]:
     seeds = cfg.seeds
     trial_dirs = {s: out_dir / f"seed_{s}" for s in seeds}
     workers = _worker_count(len(seeds))
-    rows_by_seed: dict[int, list[dict]] = {}
     if workers == 1:
-        for s in seeds:
-            rows_by_seed[s] = _run_trial(cfg, s, str(trial_dirs[s]))
+        rows_by_seed = _run_trials(cfg, seeds, trial_dirs)
     else:
         # Imported here: the process pool pulls in multiprocessing and
         # socket, which a sequential sweep never needs.
         from concurrent.futures import ProcessPoolExecutor
 
+        # One contiguous chunk of seeds per worker, the larger chunks first;
+        # the first failing chunk holds the first failure in seed order.
+        size, extra = divmod(len(seeds), workers)
+        chunks = [
+            seeds[w * size + min(w, extra) : (w + 1) * size + min(w + 1, extra)]
+            for w in range(workers)
+        ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = {
-                s: pool.submit(_run_trial, cfg, s, str(trial_dirs[s])) for s in seeds
-            }
-            for s in seeds:
-                rows_by_seed[s] = futures[s].result()
+            futures = [pool.submit(_run_trials, cfg, c, trial_dirs) for c in chunks]
+            rows_by_seed = {}
+            for future in futures:
+                rows_by_seed.update(future.result())
     fileio.atomic_write_text(out_dir / "sweep.csv", sweep_csv_text(rows_by_seed, cfg))
     return [*_data_inputs(cfg), *_noise_inputs(cfg)]
 

@@ -50,12 +50,19 @@ def fit_noisy_posterior(train_set, val_set, config: trainer.TrainConfig):
     the anchor estimate was singular). Adam bounds each weight's step; in
     the same runs every class stayed in the support. The warm-up keeps
     `config`'s optimizer, which trains a short run further than Adam.
+
+    Given lists of training sets, validation sets and configs, the fits
+    run in lockstep and the result is a list, as `trainer.train` describes.
     """
-    classes = train_set.classes
-    cfg = replace(
-        config, lam=0.0, head="sparsemax-smoothed", head_opt=FIT_OPTIMIZER
-    )
+    if isinstance(config, list):
+        classes, cfg = train_set[0].classes, [_fit_config(c) for c in config]
+    else:
+        classes, cfg = train_set.classes, _fit_config(config)
     return trainer.train(train_set, val_set, cfg, fixed_transition=np.eye(classes))
+
+
+def _fit_config(config: trainer.TrainConfig) -> trainer.TrainConfig:
+    return replace(config, lam=0.0, head="sparsemax-smoothed", head_opt=FIT_OPTIMIZER)
 
 
 def _posteriors(p) -> np.ndarray:

@@ -1,6 +1,8 @@
 """Dense float64 linear-algebra kernels and the matrix text format.
 
 Matrices are plain 2-D float64 numpy arrays (row-major), vectors are 1-D.
+`signed_logdet` and `inverse_transpose` also take a stack of matrices, a
+3-D array, and treat each matrix of it exactly as they treat one alone.
 All factorization behavior the rest of the package depends on lives here so
 it is pinned in one place: LAPACK's LU with partial pivoting (through
 `np.linalg`) decides both the signed log-determinant and singularity
@@ -36,13 +38,20 @@ NNLS_FLOOR = 1e-12
 
 
 class SingularMatrixError(ValueError):
-    """A factorization met a numerically singular matrix."""
+    """A factorization met a numerically singular matrix. For a stack of
+    matrices, `trials` holds the indices of the singular ones; it is None
+    for one matrix."""
+
+    def __init__(self, message: str, trials: np.ndarray | None = None):
+        super().__init__(message)
+        self.trials = trials
 
 
-def as_matrix(a, name: str = "matrix") -> np.ndarray:
-    """Return `a` as a 2-D float64 array, rejecting non-finite entries."""
+def as_matrix(a, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Return `a` as a 2-D float64 array, rejecting non-finite entries; with
+    `stack`, a 3-D array (a stack of matrices) is accepted too."""
     out = np.asarray(a, dtype=np.float64)
-    if out.ndim != 2:
+    if out.ndim != 2 and not (stack and out.ndim == 3):
         raise ValueError(f"{name} must be 2-D, got shape {out.shape}")
     if not np.isfinite(out).all():
         raise ValueError(f"{name} contains non-finite entries")
@@ -50,20 +59,23 @@ def as_matrix(a, name: str = "matrix") -> np.ndarray:
 
 
 def _square(a, what: str) -> np.ndarray:
-    a = as_matrix(a)
-    n, m = a.shape
+    a = as_matrix(a, stack=True)
+    n, m = a.shape[-2:]
     if n != m:
         raise ValueError(f"{what} needs a square matrix, got {n}x{m}")
     return a
 
 
-def signed_logdet(a) -> tuple[float, float]:
+def signed_logdet(a):
     """(sign, log|det a|) via LAPACK's LU with partial pivoting.
 
     sign is -1.0, 0.0, or +1.0; sign 0 (with log|det| = -inf) is reported
-    exactly when the factorization meets an exactly zero pivot.
+    exactly when the factorization meets an exactly zero pivot. For a stack
+    of matrices both are arrays, one entry per matrix.
     """
     sign, logabs = np.linalg.slogdet(_square(a, "determinant"))
+    if sign.ndim:
+        return sign, logabs
     return float(sign), float(logabs)
 
 
@@ -71,16 +83,21 @@ def inverse_transpose(a) -> np.ndarray:
     """Inverse of the transpose, via the same LAPACK LU as signed_logdet.
 
     Raises SingularMatrixError wherever signed_logdet reports sign 0, and
-    also when the inverse overflows (the singularity rule above).
+    also when the inverse overflows (the singularity rule above); for a
+    stack, its `trials` names every singular matrix of it.
     """
     a = _square(a, "inverse")
+    stacked = a.ndim == 3
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
-        raise SingularMatrixError("singular matrix: exactly zero pivot") from None
+        # The same LU: its zero pivots are where slogdet reports sign 0.
+        bad = np.flatnonzero(np.linalg.slogdet(a)[0] == 0) if stacked else None
+        raise SingularMatrixError("singular matrix: exactly zero pivot", bad) from None
     if not np.isfinite(inv).all():
-        raise SingularMatrixError("singular matrix: the inverse is not finite")
-    return inv.T
+        bad = np.flatnonzero(~np.isfinite(inv).all(axis=(-2, -1))) if stacked else None
+        raise SingularMatrixError("singular matrix: the inverse is not finite", bad)
+    return inv.swapaxes(-1, -2)
 
 
 def _passive_lstsq(a: np.ndarray, b: np.ndarray, passive: np.ndarray):

@@ -17,6 +17,11 @@ layer feeds the head:
 `_forward_cached` keeps each layer's input, and `_backward_cached`
 propagates d(loss)/d(probability) from it through the head's Jacobian and
 the layers, returning exact gradients for every parameter.
+
+Parameters may also carry a leading trial axis, (S, fan_out, fan_in) and
+(S, fan_out), with inputs (S, n, in_dim): `_forward_cached` and
+`_backward_cached` then run S classifiers at once, each exactly as it runs
+alone.
 """
 
 from __future__ import annotations
@@ -82,9 +87,9 @@ def init_classifier(
 
 def _softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise softmax, computed in place: `logits` is overwritten."""
-    logits -= logits.max(axis=1, keepdims=True)
+    logits -= logits.max(axis=-1, keepdims=True)
     np.exp(logits, out=logits)
-    logits /= logits.sum(axis=1, keepdims=True)
+    logits /= logits.sum(axis=-1, keepdims=True)
     return logits
 
 
@@ -92,12 +97,15 @@ def _sparsemax(logits: np.ndarray) -> np.ndarray:
     """Row-wise projection onto the simplex: max(z - tau, 0), with tau set so
     that the row sums to 1 over the support {k : 1 + k z_(k) > sum_{j<=k} z_(j)}
     of the descending-sorted logits."""
-    zs = -np.sort(-logits, axis=1)
-    cs = np.cumsum(zs, axis=1)
-    k = np.arange(1, logits.shape[1] + 1)
-    size = (1.0 + k * zs > cs).sum(axis=1)
-    tau = (cs[np.arange(logits.shape[0]), size - 1] - 1.0) / size
-    return np.maximum(logits - tau[:, None], 0.0)
+    zs = -np.sort(-logits, axis=-1)
+    cs = np.cumsum(zs, axis=-1)
+    classes = logits.shape[-1]
+    size = (1.0 + np.arange(1, classes + 1) * zs > cs).sum(axis=-1)
+    # cs[..., r, size_r - 1], gathered from the flattened rows.
+    rows = cs.reshape(-1, classes)
+    at = rows[np.arange(rows.shape[0]), size.ravel() - 1].reshape(size.shape)
+    tau = (at - 1.0) / size
+    return np.maximum(logits - tau[..., None], 0.0)
 
 
 def _forward_cached(
@@ -110,8 +118,8 @@ def _forward_cached(
     h = x
     last = len(params.weights) - 1
     for l, (w, b) in enumerate(zip(params.weights, params.biases)):
-        h = h @ w.T
-        h += b
+        h = h @ w.swapaxes(-1, -2)
+        h += b[..., None, :]
         if l < last:
             np.tanh(h, out=h)
             acts.append(h)
@@ -121,7 +129,7 @@ def _forward_cached(
         probs = _sparsemax(h)
         if params.head == "sparsemax-smoothed":
             probs *= 1.0 - SMOOTHING
-            probs += SMOOTHING / probs.shape[1]
+            probs += SMOOTHING / probs.shape[-1]
     return probs, acts
 
 
@@ -148,17 +156,17 @@ def _backward_cached(
         # smoothed head scales the sparsemax output by (1 - SMOOTHING).
         floor = 0.0
         if params.head == "sparsemax-smoothed":
-            floor = SMOOTHING / probs.shape[1]
+            floor = SMOOTHING / probs.shape[-1]
             grad_probs = (1.0 - SMOOTHING) * grad_probs
         support = probs > floor
-        mean = (grad_probs * support).sum(axis=1, keepdims=True) / support.sum(
-            axis=1, keepdims=True
+        mean = (grad_probs * support).sum(axis=-1, keepdims=True) / support.sum(
+            axis=-1, keepdims=True
         )
         dz = grad_probs - mean
         dz *= support
     else:
         # Softmax Jacobian: dz = p * (g - <g, p>)
-        inner = (grad_probs * probs).sum(axis=1, keepdims=True)
+        inner = (grad_probs * probs).sum(axis=-1, keepdims=True)
         dz = grad_probs - inner
         dz *= probs
     if out is None:
@@ -167,8 +175,8 @@ def _backward_cached(
         ]
     grad_ws, grad_bs = out
     for l in range(len(params.weights) - 1, -1, -1):
-        np.matmul(dz.T, acts[l], out=grad_ws[l])
-        dz.sum(axis=0, out=grad_bs[l])
+        np.matmul(dz.swapaxes(-1, -2), acts[l], out=grad_ws[l])
+        dz.sum(axis=-2, out=grad_bs[l])
         if l > 0:
             # Through tanh: the derivative 1 - a^2, formed in acts[l].
             a = acts[l]
@@ -182,10 +190,12 @@ def _backward_cached(
 def _views(
     flat: np.ndarray, params: ClassifierParams
 ) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Views of `flat` shaped like every weight of `params`, then every bias."""
+    """Views of `flat` shaped like every weight of `params`, then every bias.
+    A leading axis of `flat` (one buffer row per trial) leads every view."""
     views, at = [], 0
+    lead = flat.shape[:-1]
     for p in (*params.weights, *params.biases):
-        views.append(flat[at : at + p.size].reshape(p.shape))
+        views.append(flat[..., at : at + p.size].reshape(lead + p.shape))
         at += p.size
     layers = len(params.weights)
     return views[:layers], views[layers:]

@@ -3,8 +3,16 @@
 The objective is the mean cross-entropy of noisy labels under the composed
 predictor (transition @ classifier probabilities) plus `lam` times the
 log-determinant of the realized transition -- the volume penalty that makes
-the factorization identifiable. One `loss_and_grads` call per minibatch
+the factorization identifiable. Per minibatch, one `loss_and_grads` call
 produces gradients for both parameter sets, and both are stepped from it.
+
+Trials in lockstep: `train` takes S trials of one config, which differ only
+in their seed (and so in their data), and gives every parameter, transition
+weight and optimizer slot a leading trial axis. Each minibatch is then one
+`loss_and_grads` call and one optimizer step for all S trials, whose numpy
+calls cost far less than S times one trial's in this call-overhead-bound
+regime, and each trial gets exactly the bits it gets alone. A single trial
+is the same loop with S = 1.
 
 How the joint problem is started and stepped decides which of its local
 minima the run reaches, because `lam` is far too small for the volume term
@@ -108,7 +116,9 @@ class TrainConfig:
 
 
 class OptimizerState:
-    """Slot state for one optimizer over one array."""
+    """Slot state for one optimizer over one array, or over a stack of
+    arrays with one row per trial; the update is elementwise, so each row
+    steps exactly as it would alone."""
 
     def __init__(self, spec: OptimizerSpec, param: np.ndarray):
         if spec.kind not in ("sgd", "adam"):
@@ -138,6 +148,11 @@ class OptimizerState:
             vhat = self.v / (1.0 - ADAM_BETA2**self.t)
             w -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
+    def keep(self, rows: np.ndarray) -> None:
+        """Keep only the slots of the trials `rows` selects from a stack."""
+        self.m = self.m[rows]
+        self.v = self.v[rows]
+
 
 def lr_scale_at(schedule: tuple[tuple[int, float], ...], epoch: int) -> float:
     """Cumulative 1/divisor product; entry (e, d) takes effect after epoch e."""
@@ -150,12 +165,21 @@ def lr_scale_at(schedule: tuple[tuple[int, float], ...], epoch: int) -> float:
 
 @dataclass
 class StepStats:
+    """One batch's numbers; for a stack of trials, arrays with one entry
+    per trial."""
+
     loss: float
     fidelity: float
     logdet_sign: float
     logabsdet: float
     clamp_events: int
     det_sign_events: int
+
+
+def _finite(value) -> bool:
+    """Whether a float, or every entry of an array, is finite; a float
+    skips numpy's call overhead."""
+    return math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
 
 
 def loss_and_grads(
@@ -186,6 +210,13 @@ def loss_and_grads(
     once. `_grad_out`, (weight, bias) arrays shaped like the classifier's,
     receives its gradients in place.
 
+    A stack of S trials: the classifier parameters, `x`, `y`,
+    `soft_targets` and a trainable `tt`'s weights carry a leading trial
+    axis, while a fixed matrix is shared by every trial. Each trial's
+    gradients are then exactly its own call's, every stat is an array with
+    one entry per trial, and a SingularMatrixError's `trials` names the
+    trials whose transition is singular.
+
     Returns (stats, grad_weights_or_None, (grad_ws, grad_bs)).
     """
     trainable = isinstance(tt, transition.TrainableTransition)
@@ -194,42 +225,45 @@ def loss_and_grads(
     else:
         t_hat = tt
     probs, acts = model._forward_cached(params, x)
-    q = probs @ t_hat.T
-    n = x.shape[0]
+    q = probs @ t_hat.swapaxes(-1, -2)
+    n = x.shape[-2]
 
     if soft_targets is not None:
         qc = np.maximum(q, PROB_CLAMP)
-        clamp_events = int(((q < PROB_CLAMP) & (soft_targets > 0)).sum())
-        fidelity = float(-(soft_targets * np.log(qc)).sum() / n)
+        clamp_events = ((q < PROB_CLAMP) & (soft_targets > 0)).sum(axis=(-2, -1))
+        fidelity = -(soft_targets * np.log(qc)).sum(axis=(-2, -1)) / n
         grad_q = -soft_targets / (n * qc)
         grad_probs = grad_q @ t_hat
     else:
-        rows = np.arange(n)
-        qy = q[rows, y]
-        clamp_events = np.count_nonzero(qy < PROB_CLAMP)
+        # Each row's label entry, index (trial, row, label) in a stack.
+        lead = () if y.ndim == 1 else (np.arange(len(y))[:, None],)
+        at = (*lead, np.arange(n), y)
+        qy = q[at]
+        clamp_events = (qy < PROB_CLAMP).sum(axis=-1)
         qy = np.maximum(qy, PROB_CLAMP)
-        fidelity = -float(np.log(qy).sum()) / n
+        fidelity = -np.log(qy).sum(axis=-1) / n
         g = -1.0 / (n * qy)
         # d(loss)/d(q) is g on each row's label and 0 elsewhere, so its
         # product with t_hat is a row gather.
-        grad_probs = t_hat[y]
-        grad_probs *= g[:, None]
+        grad_probs = t_hat[(*lead, y)] if t_hat.ndim == 3 else t_hat[y]
+        grad_probs *= g[..., None]
         if trainable:
             grad_q = np.zeros_like(q)
-            grad_q[rows, y] = g
+            grad_q[at] = g
     if trainable:
-        grad_t = grad_q.T @ probs
+        grad_t = grad_q.swapaxes(-1, -2) @ probs
 
     loss = fidelity
     if fixed_logdet is not None:
         sign, logabs = fixed_logdet
     else:
         sign, logabs = linalg.signed_logdet(t_hat)
-    det_sign_events = int(sign <= 0)
+    det_sign_events = sign <= 0
     if lam != 0.0:
-        if not math.isfinite(logabs):
+        if not _finite(logabs):
             raise linalg.SingularMatrixError(
-                "realized transition is numerically singular"
+                "realized transition is numerically singular",
+                np.flatnonzero(~np.isfinite(logabs)) if np.ndim(logabs) else None,
             )
         loss = fidelity + lam * logabs
         if trainable:
@@ -356,25 +390,50 @@ def train(
 
     Ties in the selection metric resolve to the LATEST epoch attaining the
     maximum (the transition keeps converging after the metric plateaus).
+
+    Lockstep: `train_set`, `val_set` and `config` may instead be lists with
+    one entry per trial, and then `true_transition`, `soft_targets` and
+    `val_soft_targets` are lists too when given (a `true_transition` entry
+    may be None). The configs must be equal but for their seeds, and the
+    training sets of one size; `fixed_transition` is shared. The trials
+    step together, each exactly as it would alone, and the result is a
+    list with one entry per trial: its TrainResult, or the exception it
+    would raise alone. A failed trial leaves the stack; the others go on.
     """
-    if config.selection_metric not in SELECTION_METRICS:
+    single = not isinstance(train_set, list)
+    if single:
+        train_set, val_set, config = [train_set], [val_set], [config]
+        true_transition = [true_transition]
+        soft_targets = None if soft_targets is None else [soft_targets]
+        val_soft_targets = None if val_soft_targets is None else [val_soft_targets]
+    trials = len(train_set)
+    cfg = config[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in config):
+        raise ValueError("lockstep trials must share their config but for the seed")
+    if cfg.selection_metric not in SELECTION_METRICS:
         raise ValueError(
-            f"unknown selection metric {config.selection_metric!r}; "
+            f"unknown selection metric {cfg.selection_metric!r}; "
             f"expected one of {SELECTION_METRICS}"
         )
-    if config.batch_size < 1 or config.epochs < 0:
+    if cfg.batch_size < 1 or cfg.epochs < 0:
         raise ValueError("batch_size must be >= 1 and epochs >= 0")
-    x_train = np.asarray(train_set.x, dtype=np.float64)
-    y_train = train_set.labels if soft_targets is None else None
-    x_val = np.asarray(val_set.x, dtype=np.float64)
-    y_val = val_set.labels if val_soft_targets is None else None
-    classes = train_set.classes
-    n = x_train.shape[0]
+    if len({ts.n for ts in train_set}) != 1:
+        raise ValueError("lockstep trials need training sets of one size")
+    if true_transition is None:
+        true_transition = [None] * trials
+    x_train = np.stack([np.asarray(ts.x, dtype=np.float64) for ts in train_set])
+    y_train = (
+        np.stack([ts.labels for ts in train_set]) if soft_targets is None else None
+    )
+    s_train = None if soft_targets is None else np.stack(soft_targets)
+    x_val = [np.asarray(vs.x, dtype=np.float64) for vs in val_set]
+    classes = train_set[0].classes
+    n = x_train.shape[1]
     if n == 0:
         raise ValueError("empty training set")
 
     if (
-        config.head == "sparsemax"
+        cfg.head == "sparsemax"
         and fixed_transition is not None
         and (np.asarray(fixed_transition) <= 0.0).any()
     ):
@@ -384,123 +443,220 @@ def train(
             "or sparsemax-smoothed head"
         )
     # With the softmax head and a fixed transition the warm-up changes nothing.
-    warmup = 0 if (fixed_transition is not None and config.head == "softmax") else (
-        min(WARMUP_EPOCHS, max(config.epochs - 1, 0))
+    warmup = 0 if (fixed_transition is not None and cfg.head == "softmax") else (
+        min(WARMUP_EPOCHS, max(cfg.epochs - 1, 0))
     )
-    params = model.init_classifier(
-        x_train.shape[1], tuple(config.hidden), classes, config.seed, config.head
-    )
-    if warmup:
-        params.head = "softmax"
-    # One buffer holds every classifier parameter, weights first, and one
-    # its gradient, so the optimizer steps them as a single array.
-    theta = model._flatten(params)
+    inits = [
+        model.init_classifier(x_train.shape[2], tuple(cfg.hidden), classes, c.seed)
+        for c in config
+    ]
+    # One buffer row holds every classifier parameter of one trial, weights
+    # first, and one its gradient, so the optimizer steps them as a single
+    # array; `shapes` gives one trial's parameter shapes.
+    shapes = inits[0]
+    theta = np.stack([model._flatten(p) for p in inits])
     grad_theta = np.empty_like(theta)
-    grad_views = model._views(grad_theta, params)
-    weight_count = sum(w.size for w in params.weights)
-    tt = None if fixed_transition is not None else transition.init_weights(classes)
+    weight_count = sum(w.size for w in shapes.weights)
+    head = "softmax" if warmup else cfg.head
+    start = None if fixed_transition is not None else transition.init_weights(classes)
     if fixed_transition is not None:
         noise.validate_transition(fixed_transition, classes=classes, col_tol=1e-6)
     # During the warm-up the transition is a constant, stepped like a fixed one.
-    frozen = fixed_transition if tt is None else transition.realize(tt)
+    frozen = fixed_transition if start is None else transition.realize(start)
     frozen_logdet = linalg.signed_logdet(frozen)
-    t_hat = frozen
+    tt = None if start is None else transition.TrainableTransition(
+        np.stack([start.weights] * trials)
+    )
 
-    head_opt = config.head_opt or config.classifier_opt
+    head_opt = cfg.head_opt or cfg.classifier_opt
     # Weight decay never touches the transition weights.
-    transition_opt = replace(config.transition_opt, weight_decay=0.0)
-    opt_theta = OptimizerState(config.classifier_opt if warmup else head_opt, theta)
+    transition_opt = replace(cfg.transition_opt, weight_decay=0.0)
+    opt_theta = OptimizerState(cfg.classifier_opt if warmup else head_opt, theta)
     opt_w = None if tt is None or warmup else OptimizerState(transition_opt, tt.weights)
 
-    history = TrainHistory()
-    best_metric = -np.inf
-    best_params = best_weights = best_t = None
-    best_epoch = 0
+    # Per trial, by its index in the arguments: the outcome, the history and
+    # the selected checkpoint (metric, params, weights, matrix, epoch).
+    results: list = [None] * trials
+    histories = [TrainHistory() for _ in range(trials)]
+    best = [(-np.inf, None, None, None, 0)] * trials
+    last_t = [frozen] * trials
+    # The trials still training: row `pos` of every stacked array is trial
+    # live[pos].
+    live = np.arange(trials)
+    x_epoch = y_epoch = s_epoch = fid_sum = sign_events = None
 
-    for epoch in range(1, config.epochs + 1):
+    def trial_params(pos: int) -> model.ClassifierParams:
+        return model.ClassifierParams(*model._views(theta[pos], shapes), head)
+
+    def bind():
+        """What a step reads and writes: views of the stacked arrays, or,
+        with one trial left, of that trial's row. Its per-trial numbers are
+        then numpy scalars, not one-element arrays: the same bits, without
+        the call overhead of many tiny array operations per step."""
+        nonlocal lead, step_params, grad_views, step_tt
+        if not len(live):
+            return
+        lead = slice(None) if len(live) > 1 else 0
+        step_params = model.ClassifierParams(*model._views(theta[lead], shapes), head)
+        grad_views = model._views(grad_theta[lead], shapes)
+        step_tt = None if tt is None else transition.TrainableTransition(tt.weights[lead])
+
+    def drop(failed: dict[int, Exception]) -> np.ndarray:
+        """Record each failed row's exception and take its trial out of
+        every stacked array; returns the kept rows' mask."""
+        nonlocal live, theta, grad_theta, tt
+        nonlocal x_epoch, y_epoch, s_epoch, fid_sum, sign_events
+        for pos, exc in failed.items():
+            results[live[pos]] = exc
+        keep = np.ones(len(live), dtype=bool)
+        keep[list(failed)] = False
+        live, theta, grad_theta = live[keep], theta[keep], grad_theta[keep]
+        opt_theta.keep(keep)
+        if tt is not None:
+            tt = transition.TrainableTransition(tt.weights[keep])
+        if opt_w is not None:
+            opt_w.keep(keep)
+        x_epoch = x_epoch[keep]
+        fid_sum = np.atleast_1d(fid_sum)[keep]
+        sign_events = np.atleast_1d(sign_events)[keep]
+        y_epoch = None if y_epoch is None else y_epoch[keep]
+        s_epoch = None if s_epoch is None else s_epoch[keep]
+        bind()
+        return keep
+
+    lead = step_params = grad_views = step_tt = None
+    bind()
+    for epoch in range(1, cfg.epochs + 1):
+        if not len(live):
+            break
         if warmup and epoch == warmup + 1:
-            params.head = config.head
-            if config.head_opt is not None:
+            head = cfg.head
+            if cfg.head_opt is not None:
                 opt_theta = OptimizerState(head_opt, theta)
             if tt is not None:
-                targets = (
-                    soft_targets if soft_targets is not None
-                    else np.eye(classes)[y_train]
-                )
-                tt = confusion_start(params, x_train, targets, frozen)
+                # One trial at a time: a stacked forward over every training
+                # row would hold S copies of its activations.
+                starts = []
+                for pos, i in enumerate(live.tolist()):
+                    targets = (
+                        soft_targets[i] if soft_targets is not None
+                        else np.eye(classes)[y_train[i]]
+                    )
+                    starts.append(confusion_start(
+                        trial_params(pos), x_train[i], targets, frozen
+                    ).weights)
+                tt = transition.TrainableTransition(np.stack(starts))
                 opt_w = OptimizerState(transition_opt, tt.weights)
+            bind()
         joint = tt is not None and epoch > warmup
-        scale = lr_scale_at(config.lr_schedule, epoch)
-        order = np.random.default_rng(
-            [config.seed, _SHUFFLE_STREAM, epoch]
-        ).permutation(n)
+        scale = lr_scale_at(cfg.lr_schedule, epoch)
+        orders = np.stack([
+            np.random.default_rng([config[i].seed, _SHUFFLE_STREAM, epoch]).permutation(n)
+            for i in live.tolist()
+        ])
         # One gather per epoch; each batch is then a slice of it.
-        x_epoch = x_train[order]
-        y_epoch = None if y_train is None else y_train[order]
-        s_epoch = None if soft_targets is None else soft_targets[order]
-        fid_sum = 0.0
-        sign_events = 0
-        for start in range(0, n, config.batch_size):
-            batch = slice(start, start + config.batch_size)
-            xb = x_epoch[batch]
-            yb = None if y_epoch is None else y_epoch[batch]
-            sb = None if s_epoch is None else s_epoch[batch]
-            stats, grad_w, _ = loss_and_grads(
-                params, tt if joint else frozen, xb, yb, config.lam,
-                soft_targets=sb, natural=True,
-                fixed_logdet=None if joint else frozen_logdet,
-                _grad_out=grad_views,
-            )
-            if not math.isfinite(stats.loss):
-                raise FloatingPointError(
-                    f"non-finite loss at epoch {epoch}, batch {start // config.batch_size}"
-                )
-            fid_sum += stats.fidelity * len(xb)
+        pick = (live[:, None], orders)
+        x_epoch = x_train[pick]
+        y_epoch = None if y_train is None else y_train[pick]
+        s_epoch = None if s_train is None else s_train[pick]
+        # Per-trial sums: numpy scalars while one trial trains alone.
+        fid_sum = np.zeros(len(live))[lead]
+        sign_events = np.zeros(len(live), dtype=np.int64)[lead]
+        for b, start in enumerate(range(0, n, cfg.batch_size)):
+            batch = slice(start, start + cfg.batch_size)
+            stats = None
+            while stats is None and len(live):
+                try:
+                    stats, grad_w, _ = loss_and_grads(
+                        step_params, step_tt if joint else frozen, x_epoch[lead, batch],
+                        None if y_epoch is None else y_epoch[lead, batch], cfg.lam,
+                        soft_targets=None if s_epoch is None else s_epoch[lead, batch],
+                        natural=True,
+                        fixed_logdet=None if joint else frozen_logdet,
+                        _grad_out=grad_views,
+                    )
+                except linalg.SingularMatrixError as exc:
+                    # Nothing was stepped: retry the batch without them.
+                    rows = range(len(live)) if exc.trials is None else exc.trials
+                    drop({pos: exc for pos in rows})
+            if stats is None:
+                break
+            fid_sum += stats.fidelity * (min(start + cfg.batch_size, n) - start)
             sign_events += stats.det_sign_events
+            if not _finite(stats.loss):
+                message = f"non-finite loss at epoch {epoch}, batch {b}"
+                bad = np.flatnonzero(~np.isfinite(stats.loss))
+                keep = drop({pos: FloatingPointError(message) for pos in bad})
+                if not len(live):
+                    break
+                if grad_w is not None:
+                    grad_w = grad_w[keep]
             opt_theta.step(theta, grad_theta, scale)
             if joint:
                 opt_w.step(tt.weights, grad_w, scale)
-                if not np.isfinite(tt.weights).all():
-                    raise FloatingPointError(
-                        f"non-finite transition weights at epoch {epoch}"
-                    )
-            if not np.isfinite(theta[:weight_count]).all():
-                raise FloatingPointError(
-                    f"non-finite classifier weights at epoch {epoch}"
-                )
+            bad_w = joint and not np.isfinite(tt.weights).all()
+            if bad_w or not np.isfinite(theta[:, :weight_count]).all():
+                failed = {}
+                for pos in range(len(live)):
+                    if bad_w and not np.isfinite(tt.weights[pos]).all():
+                        failed[pos] = FloatingPointError(
+                            f"non-finite transition weights at epoch {epoch}"
+                        )
+                    elif not np.isfinite(theta[pos, :weight_count]).all():
+                        failed[pos] = FloatingPointError(
+                            f"non-finite classifier weights at epoch {epoch}"
+                        )
+                drop(failed)
+                if not len(live):
+                    break
 
-        t_hat = frozen if tt is None else transition.realize(tt)
-        sign, logabs = linalg.signed_logdet(t_hat)
-        est = (
-            noise.estimation_error(true_transition, t_hat)
-            if true_transition is not None
-            else None
-        )
-        metric = _val_metric(
-            config.selection_metric, params, t_hat, x_val, y_val, val_soft_targets
-        )
-        history.rows.append(
-            EpochRow(epoch, fid_sum / n, sign, logabs, est, metric, sign_events)
-        )
-        if epoch > warmup and not math.isnan(metric) and metric >= best_metric:
-            best_metric = metric
-            best_params = params.copy()
-            best_weights = None if tt is None else tt.weights.copy()
-            best_t = t_hat
-            best_epoch = epoch
+        if tt is not None and len(live):
+            t_hats = transition.realize(tt)
+            signs, logabss = linalg.signed_logdet(t_hats)
+        fid_sum, sign_events = np.atleast_1d(fid_sum), np.atleast_1d(sign_events)
+        for pos, i in enumerate(live.tolist()):
+            if tt is None:
+                t_hat, (sign, logabs) = frozen, frozen_logdet
+            else:
+                t_hat, sign, logabs = t_hats[pos], float(signs[pos]), float(logabss[pos])
+            last_t[i] = t_hat
+            trial = trial_params(pos)
+            est = (
+                noise.estimation_error(true_transition[i], t_hat)
+                if true_transition[i] is not None
+                else None
+            )
+            metric = _val_metric(
+                cfg.selection_metric, trial, t_hat, x_val[i],
+                val_set[i].labels if val_soft_targets is None else None,
+                None if val_soft_targets is None else val_soft_targets[i],
+            )
+            histories[i].rows.append(EpochRow(
+                epoch, float(fid_sum[pos] / n), sign, logabs, est, metric,
+                int(sign_events[pos]),
+            ))
+            if epoch > warmup and not math.isnan(metric) and metric >= best[i][0]:
+                weights = None if tt is None else tt.weights[pos].copy()
+                best[i] = (metric, trial.copy(), weights, t_hat, epoch)
 
-    if best_epoch == 0:
-        # No epoch was selected (an empty validation set or zero epochs):
-        # the final state stands.
-        best_params = params.copy()
-        best_weights = None if tt is None else tt.weights.copy()
-        best_t = t_hat
-        best_epoch = len(history.rows)
-
-    return TrainResult(
-        params=best_params,
-        transition_weights=best_weights,
-        transition=best_t,
-        history=history,
-        best_epoch=best_epoch,
-    )
+    for pos, i in enumerate(live.tolist()):
+        _, best_params, best_weights, best_t, best_epoch = best[i]
+        if best_epoch == 0:
+            # No epoch was selected (an empty validation set or zero
+            # epochs): the final state stands.
+            best_params = trial_params(pos).copy()
+            best_weights = None if tt is None else tt.weights[pos].copy()
+            best_t = last_t[i]
+            best_epoch = len(histories[i].rows)
+        results[i] = TrainResult(
+            params=best_params,
+            transition_weights=best_weights,
+            transition=best_t,
+            history=histories[i],
+            best_epoch=best_epoch,
+        )
+    if single:
+        if isinstance(results[0], Exception):
+            raise results[0]
+        return results[0]
+    return results

@@ -7,6 +7,10 @@ makes every realized column sum to 1 with the diagonal entry strictly
 largest in its column, for any finite weights. Diagonal weight entries carry
 no parameters (kept at 0 and ignored); gradients flow only to off-diagonal
 weights.
+
+The weights may also be a stack, (S, C, C) for S trials stepped together;
+`_forward_cached` and `_backward_cached` then treat each matrix of the stack
+exactly as they treat one alone.
 """
 
 from __future__ import annotations
@@ -24,7 +28,8 @@ GATE_FLOOR = 1e-3
 
 @dataclass
 class TrainableTransition:
-    """Free weights of the transition parameterization (C x C, diagonal unused)."""
+    """Free weights of the transition parameterization (C x C, diagonal
+    unused), or a stack of them."""
 
     weights: np.ndarray
 
@@ -59,16 +64,25 @@ def _sigmoid(w: np.ndarray) -> np.ndarray:
     return np.where(w >= 0, 1.0 / d, e / d)
 
 
+def _set_diagonal(a: np.ndarray, value: float) -> None:
+    """Set the diagonal of the C-contiguous `a`, or of every matrix of such
+    a stack, in place: every (C + 1)-th entry of each flattened matrix."""
+    a.reshape(*a.shape[:-2], -1)[..., :: a.shape[-1] + 1] = value
+
+
 def _gates(weights: np.ndarray) -> np.ndarray:
     a = _sigmoid(weights)
-    np.fill_diagonal(a, 1.0)
+    _set_diagonal(a, 1.0)
     return a
 
 
 def _column_sums(a: np.ndarray) -> np.ndarray:
     # fsum is exactly rounded, hence order-independent: realization commutes
-    # with class permutations bit-for-bit.
-    return np.array([math.fsum(col) for col in a.T.tolist()])
+    # with class permutations bit-for-bit. One fsum per column of each matrix.
+    cols = a.swapaxes(-1, -2).tolist()
+    if a.ndim == 3:
+        return np.array([[math.fsum(col) for col in m] for m in cols])
+    return np.array([math.fsum(col) for col in cols])
 
 
 def _forward_cached(
@@ -77,12 +91,12 @@ def _forward_cached(
     """(realized matrix, gates, column sums): the gates and sums are what
     `_backward_cached` needs, so a step that goes both ways computes them
     once. The weights are validated here, once per call."""
-    w = linalg.as_matrix(tt.weights, "transition weights")
-    if w.shape[0] != w.shape[1] or w.shape[0] < 2:
+    w = linalg.as_matrix(tt.weights, "transition weights", stack=True)
+    if w.shape[-1] != w.shape[-2] or w.shape[-1] < 2:
         raise ValueError(f"weights must be square with C >= 2, got {w.shape}")
     a = _gates(w)
     s = _column_sums(a)
-    return a / s, a, s
+    return a / s[..., None, :], a, s
 
 
 def realize(tt: TrainableTransition) -> np.ndarray:
@@ -124,9 +138,11 @@ def _backward_cached(
     """`backward` from the outputs of `_forward_cached`, without a second
     forward or any validation."""
     # d T[k,j] / d A[i,j] = (delta_ki - T[k,j]) / s_j
-    grad_gates = (grad_output - (grad_output * t_hat).sum(axis=0, keepdims=True)) / s
+    grad_gates = (
+        grad_output - (grad_output * t_hat).sum(axis=-2, keepdims=True)
+    ) / s[..., None, :]
     grad_w = grad_gates if natural else grad_gates * a * (1.0 - a)
-    np.fill_diagonal(grad_w, 0.0)
+    _set_diagonal(grad_w, 0.0)
     return grad_w
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from volmin import cli, data, estimators, linalg, model
+from volmin import cli, data, estimators, linalg, model, trainer
 
 TINY = """\
 data.generator = simplex
@@ -697,6 +697,51 @@ class TestSweep:
         assert Path("sweep.csv") in a and Path("seed_1", "history.csv") in a
         assert a == outputs(tmp_path / "out_b")
 
+    def test_lockstep_groups_and_chunks_match_single_seed_sweeps(
+        self, tmp_path, monkeypatch
+    ):
+        # Balanced, seeds 22 and 24 keep 285 rows and seed 23 keeps 264, so
+        # one process trains two lockstep groups, {22, 24} and {23}; two
+        # workers take the chunks {22, 23} and {24}. Each seed's files are
+        # those of a sweep of that seed alone.
+        seeds = (22, 23, 24)
+        cfg = write_cfg(
+            tmp_path, SWEEP.replace("trials.seeds = 0, 1", "trials.seeds = 22, 23, 24")
+            + "data.balance = true\n"
+        )
+
+        def files(seed_dir):
+            return {
+                p.relative_to(seed_dir): p.read_bytes()
+                for p in sorted(seed_dir.rglob("*"))
+                if p.is_file() and p.name != "manifest.txt"
+            }
+
+        monkeypatch.delenv("VOLMIN_THREADS", raising=False)
+        alone = {}
+        for s in seeds:
+            assert run("sweep", "--config", cfg, "--out", tmp_path / f"s{s}", "--seed", s) == 0
+            alone[s] = files(tmp_path / f"s{s}" / f"seed_{s}")
+        rows = [len(alone[s][Path("dataset_noisy.csv")].splitlines()) for s in seeds]
+        assert rows[0] == rows[2] != rows[1]
+        stacks, train = [], trainer.train
+
+        def spy(train_sets, *args, **kwargs):
+            stacks.append(len(train_sets))
+            return train(train_sets, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", spy)
+        for threads in (None, "2"):
+            if threads is not None:
+                monkeypatch.setenv("VOLMIN_THREADS", threads)
+            out = tmp_path / f"threads_{threads}"
+            assert run("sweep", "--config", cfg, "--out", out) == 0
+            for s in seeds:
+                assert files(out / f"seed_{s}") == alone[s], (threads, s)
+            if threads is None:
+                # volmin, then the noisy fit, of group {22, 24}, then of {23}
+                assert stacks == [2, 2, 1, 1]
+
     def test_singular_anchor_estimate_leaves_accuracy_empty(
         self, tmp_path, monkeypatch
     ):
@@ -754,7 +799,7 @@ class TestSinglePipeline:
 
         def fit(*args, **kwargs):
             res = original_fit(*args, **kwargs)
-            fits.append(res.params)
+            fits.extend(r.params for r in res)  # one lockstep call, both seeds
             return res
 
         def splits(*args, **kwargs):

@@ -884,3 +884,156 @@ class TestNumericalFailure:
         # against the trainable transition.
         joint = fail_epoch > trainer.WARMUP_EPOCHS
         assert isinstance(stepped[0], transition.TrainableTransition) == joint
+
+
+# ---------------------------------------------------------------------------
+# Lockstep: a stack of trials, one `train` call, the bits of separate calls.
+
+
+def lockstep_setup(setup, classes, seed):
+    """(train_set, val_set, cfg, kwargs) of one trial of a STEP_SETUPS run."""
+    ds = toy_dataset(400, classes=classes, seed=seed, noisy=True)
+    train_set, val_set = data.split(ds, 0.2, seed=seed)
+    # 320 training rows in batches of 29: the last batch of each epoch has
+    # exactly one row, which numpy multiplies through another BLAS routine.
+    cfg = trainer.TrainConfig(
+        epochs=trainer.WARMUP_EPOCHS + 3, seed=seed, hidden=(8,), batch_size=29
+    )
+    kwargs = {}
+    if setup == "noisy-posterior-fit":
+        cfg = replace(
+            cfg, lam=0.0, head="sparsemax-smoothed", head_opt=trainer.adam(1e-3)
+        )
+        kwargs["fixed_transition"] = np.eye(classes)
+    elif setup == "soft-targets":
+        kwargs["soft_targets"] = train_set.clean_posterior
+        kwargs["val_soft_targets"] = val_set.clean_posterior
+    elif setup == "lr-schedule":
+        cfg = replace(
+            cfg, hidden=(8, 6),
+            lr_schedule=((2, 10.0), (trainer.WARMUP_EPOCHS + 1, 4.0)),
+        )
+    if setup != "noisy-posterior-fit":
+        kwargs["true_transition"] = noise.build_transition(
+            noise.NoiseSpec("symmetric", classes, rate=0.2)
+        )
+    return train_set, val_set, cfg, kwargs
+
+
+def train_stack(trials, fixed_transition=None):
+    """One lockstep `train` call over `lockstep_setup` trials."""
+    per_trial = [t[3] for t in trials]
+
+    def listed(key):
+        return [kw[key] for kw in per_trial] if key in per_trial[0] else None
+
+    return trainer.train(
+        [t[0] for t in trials], [t[1] for t in trials], [t[2] for t in trials],
+        fixed_transition=fixed_transition,
+        true_transition=listed("true_transition"),
+        soft_targets=listed("soft_targets"),
+        val_soft_targets=listed("val_soft_targets"),
+    )
+
+
+def assert_same_result(got, want):
+    assert got.history.to_csv() == want.history.to_csv()
+    assert got.best_epoch == want.best_epoch
+    for a, b in zip(got.params.weights + got.params.biases,
+                    want.params.weights + want.params.biases):
+        assert same_bits(a, b)
+    assert got.params.head == want.params.head
+    if want.transition_weights is None:
+        assert got.transition_weights is None
+    else:
+        assert same_bits(got.transition_weights, want.transition_weights)
+    assert same_bits(np.asarray(got.transition), np.asarray(want.transition))
+
+
+class TestLockstep:
+    """A stack of trials gives each trial the bits of its own `train` call."""
+
+    @pytest.mark.parametrize("setup", STEP_SETUPS)
+    @pytest.mark.parametrize("classes", [2, 3, 10])
+    def test_stack_is_bit_equal_to_single_runs(self, classes, setup):
+        trials = [lockstep_setup(setup, classes, 10 * classes + k) for k in range(3)]
+        fixed = trials[0][3].pop("fixed_transition", None)
+        for t in trials[1:]:
+            t[3].pop("fixed_transition", None)
+        got = train_stack(trials, fixed)
+        assert len(got) == 3
+        for res, (train_set, val_set, cfg, kwargs) in zip(got, trials):
+            want = trainer.train(
+                train_set, val_set, cfg, fixed_transition=fixed, **kwargs
+            )
+            assert_same_result(res, want)
+
+    def test_configs_may_differ_only_in_seed(self):
+        trials = [lockstep_setup("lr-schedule", 3, s) for s in (1, 2)]
+        cfgs = [trials[0][2], replace(trials[1][2], lam=0.0)]
+        with pytest.raises(ValueError, match="but for the seed"):
+            trainer.train([t[0] for t in trials], [t[1] for t in trials], cfgs)
+
+    @pytest.mark.parametrize(
+        "fail_epoch", [2, trainer.WARMUP_EPOCHS + 1], ids=["warm-up", "first-joint-epoch"]
+    )
+    def test_failed_trial_leaves_the_stack(self, monkeypatch, fail_epoch):
+        # Trial 1's loss goes non-finite at the third step of `fail_epoch`,
+        # injected as in TestNumericalFailure; the other trials go on.
+        trials = [lockstep_setup("warmup-then-sparsemax", 3, s) for s in (5, 6, 7)]
+        steps = -(-trials[0][0].n // trials[0][2].batch_size)
+        failing = (fail_epoch - 1) * steps + 2
+        real = trainer.loss_and_grads
+        calls = []
+
+        def inject(stacked):
+            def wrapped(*args, **kwargs):
+                calls.append(None)
+                out = real(*args, **kwargs)
+                if len(calls) - 1 == failing:
+                    if stacked:
+                        out[0].loss[1] = np.nan
+                    else:
+                        out[0].loss = float("nan")
+                return out
+            return wrapped
+
+        monkeypatch.setattr(trainer, "loss_and_grads", inject(stacked=True))
+        got = train_stack(trials)
+        calls.clear()
+        monkeypatch.setattr(trainer, "loss_and_grads", inject(stacked=False))
+        train_set, val_set, cfg, kwargs = trials[1]
+        with pytest.raises(FloatingPointError) as alone:
+            trainer.train(train_set, val_set, cfg, **kwargs)
+        monkeypatch.setattr(trainer, "loss_and_grads", real)
+
+        assert isinstance(got[1], FloatingPointError)
+        assert str(got[1]) == str(alone.value)
+        assert str(got[1]) == f"non-finite loss at epoch {fail_epoch}, batch 2"
+        for k in (0, 2):
+            train_set, val_set, cfg, kwargs = trials[k]
+            assert_same_result(got[k], trainer.train(train_set, val_set, cfg, **kwargs))
+
+    def test_singular_transition_leaves_the_stack(self, monkeypatch):
+        # Trial 0's realized transition reads as singular at one joint step;
+        # the step is retried without it and the others keep their bits.
+        trials = [lockstep_setup("warmup-then-sparsemax", 3, s) for s in (8, 9)]
+        real = linalg.signed_logdet
+        calls = []
+
+        def singular_first(a):
+            sign, logabs = real(a)
+            if np.ndim(sign) and len(sign) == 2:
+                calls.append(None)
+                if len(calls) == 40:
+                    sign, logabs = sign.copy(), logabs.copy()
+                    sign[0], logabs[0] = 0.0, -np.inf
+            return sign, logabs
+
+        monkeypatch.setattr(linalg, "signed_logdet", singular_first)
+        got = train_stack(trials)
+        monkeypatch.setattr(linalg, "signed_logdet", real)
+        assert isinstance(got[0], linalg.SingularMatrixError)
+        assert str(got[0]) == "realized transition is numerically singular"
+        train_set, val_set, cfg, kwargs = trials[1]
+        assert_same_result(got[1], trainer.train(train_set, val_set, cfg, **kwargs))
