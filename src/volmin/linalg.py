@@ -16,9 +16,12 @@ produces while `signed_logdet` still reports a nonzero sign.
 
 Text format: one row per line, entries as decimal floats separated by
 commas; lines starting with '#' are comments and are ignored. Floats are
-written with `repr`, which round-trips exactly. `format_rows` and
-`parse_rows` are the one codec for every float table the package writes:
-matrix files, checkpoint blocks, and the dataset CSVs of `volmin.data`.
+written with `repr`, which round-trips exactly, called once per distinct
+value of a table. `format_rows` and `parse_rows` are the one codec for every
+float table the package writes: matrix files, checkpoint blocks, and the
+dataset CSVs of `volmin.data`. A table of repr and int text is read in one
+`np.loadtxt` pass; any other table, and one that pass rejects, is scanned
+line by line, and the scan names the first bad line and token.
 """
 
 from __future__ import annotations
@@ -214,34 +217,46 @@ def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Float tables: the one codec behind dataset CSVs, posterior siblings,
-# matrix files and checkpoint blocks.
+# matrix files and checkpoint blocks. `parse_rows` hands numpy only these
+# characters: numpy's parser takes '1\x1c' as 1 where float()/int() refuse,
+# and numpy 2.4 reads a non-ASCII label digit out of bounds.
+_TABLE_CHARS = b"0123456789.e+-,"
 
 
 def format_rows(a) -> list[str]:
-    """Each row of the 2-D `a` as comma-joined reprs (shortest round-trip text)."""
-    return [",".join(map(repr, row)) for row in a.tolist()]
+    """Each row of the 2-D `a` as comma-joined reprs (shortest round-trip text),
+    with one `repr` call per distinct bit pattern (-0.0 and 0.0 apart)."""
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    bits, inv = np.unique(a.view(np.uint64), return_inverse=True)
+    text = np.array(list(map(repr, bits.view(np.float64).tolist())), dtype=object)
+    return list(map(",".join, text[inv].reshape(a.shape).tolist()))
 
 
 def parse_rows(lines: list[str], linenos, source, width: int, floats: int):
     """(x, ints) from `lines`, each holding `width` comma-separated fields:
     the first `floats` fields of every line as a finite (n, floats) array,
-    and each later field as a list of ints.
+    and the later fields as one sequence of ints per field.
 
-    The whole table is split and converted in a few C-level passes. A table
-    that fails any check is scanned again line by line, so the ValueError
-    names the first bad line and token of `source`. Only that scan reads
-    `linenos`, an iterable of each line's number in `source`."""
-    if lines and set(map(str.count, lines, repeat(","))) == {width - 1}:
-        tokens = ",".join(lines).split(",")
+    A table of `_TABLE_CHARS` is read by one `np.loadtxt` pass. A table that
+    pass rejects, warns about or reads as non-finite, and any other table, is
+    scanned line by line with float()/int(), so the ValueError names the first
+    bad line and token of `source`; only that scan reads `linenos`, an
+    iterable of each line's number in `source`, and it gives lists of ints."""
+    text = ",".join(lines)
+    fast = text.isascii() and not text.encode("ascii").translate(None, _TABLE_CHARS)
+    if fast and set(map(str.count, lines, repeat(","))) == {width - 1}:
+        fields = [("x", np.float64, (floats,)), ("n", np.int64, (width - floats,))]
         try:
-            table = np.fromiter(map(float, tokens), np.float64, len(tokens))
-            ints = [list(map(int, tokens[j::width])) for j in range(floats, width)]
-        except ValueError:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                dtype = np.dtype(fields[: 1 + (width > floats)])
+                table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
+        except (ValueError, Warning):
             pass
         else:
-            x = table.reshape(len(lines), width)[:, :floats].copy()
-            if np.isfinite(x).all():
-                return x, ints
+            x = np.ascontiguousarray(table["x"])
+            if len(table) == len(lines) and np.isfinite(x).all():  # it skips blank lines
+                return x, table["n"].T if width > floats else []
     xs, ints = [], [[] for _ in range(floats, width)]
     for lineno, line in zip(linenos, lines):
         parts = line.split(",")

@@ -316,3 +316,110 @@ class TestMatrixText:
         assert [name for name, _ in back] == [name for name, _ in blocks]
         for (_, want), (_, got) in zip(blocks, back):
             assert np.array_equal(want, got)
+
+
+# Tokens a person might write into a table by hand, next to the reprs the
+# package writes: each is read the way float()/int() read it, or refused.
+HAND_TOKENS = [
+    "1.", ".5", "+1", "-0", "01", " 1", "1 ", "1_0", "１.5", "٣", "1.0",
+    "1e0", "1E5", "nan", "-inf", "1e400", "1e-400", "99999999999999999999",
+    "-9223372036854775809", "", "1\x1c", "\x1c1", "1Ǿ", "1\U0009c6ca", "0x10",
+    "1e", "e5", ".", "-", "+-1", "1..5",
+]
+
+
+def scan_reference(lines, width, floats):
+    """(x, ints) by float()/int() on every token, or the scan's message."""
+    xs, ints = [], [[] for _ in range(floats, width)]
+    for lineno, line in enumerate(lines, 1):
+        parts = line.split(",")
+        if len(parts) != width:
+            return f"t:{lineno}: expected {width} fields, got {len(parts)}"
+        row = []
+        for token in parts[:floats]:
+            try:
+                row.append(float(token))
+            except ValueError:
+                return f"t:{lineno}: bad float {token!r}"
+            if not math.isfinite(row[-1]):
+                return f"t:{lineno}: non-finite value {token!r}"
+        xs.append(row)
+        for col, token in zip(ints, parts[floats:]):
+            try:
+                col.append(int(token))
+            except ValueError:
+                return f"t:{lineno}: bad label"
+    return np.array(xs, dtype=np.float64).reshape(len(xs), floats), ints
+
+
+@st.composite
+def tables(draw):
+    width = draw(st.integers(1, 4))
+    floats = draw(st.integers(1, width))
+    canonical = draw(st.booleans())
+    float_token = st.floats(width=64).map(repr)
+    int_token = st.integers(-(2**63), 2**63 - 1).map(str)
+    if not canonical:
+        hand = st.one_of(
+            st.sampled_from(HAND_TOKENS), st.text("0123456789.e+-", max_size=5)
+        )
+        float_token = st.one_of(float_token, hand)
+        int_token = st.one_of(int_token, hand)
+    fields = [float_token] * floats + [int_token] * (width - floats)
+    rows = draw(st.lists(st.tuples(*fields), min_size=1, max_size=6))
+    return list(map(",".join, rows)), width, floats
+
+
+class TestTableCodec:
+    @settings(max_examples=400, deadline=None)
+    @given(tables())
+    def test_parse_matches_per_token_reference(self, table):
+        lines, width, floats = table
+        want = scan_reference(lines, width, floats)
+        try:
+            x, ints = linalg.parse_rows(lines, range(1, len(lines) + 1), "t", width, floats)
+        except ValueError as exc:
+            assert str(exc) == want
+            return
+        assert not isinstance(want, str), want
+        assert x.shape == want[0].shape
+        assert np.array_equal(x.view(np.uint64), want[0].view(np.uint64))
+        assert [list(map(int, col)) for col in ints] == want[1]
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("0.5,1Ǿ", "t:1: bad label"),
+            ("0.5,1\U0009c6ca", "t:1: bad label"),
+            ("1\x1c,1", "t:1: bad float '1\\x1c'"),
+            ("0.5,1\x1c", "t:1: bad label"),
+        ],
+        ids=["latin-label", "astral-label", "separator-float", "separator-label"],
+    )
+    def test_text_numpy_misreads_goes_to_the_scan(self, line, message):
+        with pytest.raises(ValueError) as got:
+            linalg.parse_rows([line], [1], "t", 2, 1)
+        assert str(got.value) == message
+
+    def test_empty_line_is_not_skipped(self):
+        with pytest.raises(ValueError, match=r"^t:2: bad float ''$"):
+            linalg.parse_rows(["1.0", ""], [1, 2], "t", 1, 1)
+
+    @pytest.mark.parametrize(
+        "a",
+        [
+            np.array([[-0.0, 0.0, 0.0], [0.0, -0.0, 1.0]]),
+            np.array([[5e-324, -5e-324, 2.2250738585072009e-308, 1e-310]]),
+            np.array([[1e16, 9999999999999998.0, 1e-5, 9.999999999999999e-06, 1e-4]]),
+            np.array([[0.25]]),
+            np.array([[0.1], [0.2], [0.1]]),
+            np.arange(6.0).reshape(1, 6),
+            np.zeros((0, 3)),
+            np.arange(12.0).reshape(3, 4).T / 7,
+            np.random.default_rng(5).standard_normal((50, 10)),
+        ],
+        ids=["signed-zeros", "subnormals", "repr-switch-points", "one-cell", "one-column",
+             "one-row", "zero-rows", "transposed", "gaussian"],
+    )
+    def test_format_rows_is_repr_per_entry(self, a):
+        assert linalg.format_rows(a) == [",".join(map(repr, row)) for row in a.tolist()]
