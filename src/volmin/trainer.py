@@ -6,13 +6,12 @@ log-determinant of the realized transition -- the volume penalty that makes
 the factorization identifiable. Per minibatch, one `loss_and_grads` call
 produces gradients for both parameter sets, and both are stepped from it.
 
-Trials in lockstep: `train` takes S trials of one config, which differ only
-in their seed (and so in their data), and gives every parameter, transition
-weight and optimizer slot a leading trial axis. Each minibatch is then one
-`loss_and_grads` call and one optimizer step for all S trials, whose numpy
-calls cost far less than S times one trial's in this call-overhead-bound
-regime, and each trial gets exactly the bits it gets alone. A single trial
-is the same loop with S = 1.
+Trials in lockstep: `train` steps S trials of one config, which differ only
+in their seed (and so in their data), as one `_Stack` of arrays with a
+leading trial axis. Each minibatch is one `loss_and_grads` call and one
+optimizer step for all S, whose numpy calls cost far less than S times one
+trial's in this call-overhead-bound regime, and each trial gets exactly the
+bits it gets alone. A single trial is the same loop with S = 1.
 
 How the joint problem is started and stepped decides which of its local
 minima the run reaches, because `lam` is far too small for the volume term
@@ -40,8 +39,8 @@ to move the transition by itself (see `TrainConfig`):
 
 Determinism: given a seed and a config, the run is bit-reproducible. The
 per-epoch shuffle stream is derived from (seed, epoch); no other randomness
-is consumed after initialization. A numerical failure raises out of `train`
-(see there), which the CLI maps to exit 3 naming the seed and the run.
+is consumed after initialization. A numerical failure ends its trial (see
+`train`), which the CLI maps to exit 3 naming the seed and the run.
 """
 
 from __future__ import annotations
@@ -147,11 +146,6 @@ class OptimizerState:
             mhat = self.m / (1.0 - ADAM_BETA1**self.t)
             vhat = self.v / (1.0 - ADAM_BETA2**self.t)
             w -= lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Keep only the slots of the trials `rows` selects from a stack."""
-        self.m = self.m[rows]
-        self.v = self.v[rows]
 
 
 def lr_scale_at(schedule: tuple[tuple[int, float], ...], epoch: int) -> float:
@@ -357,6 +351,73 @@ class TrainResult:
     best_epoch: int
 
 
+class _Stack:
+    """The trials of one `train` call still training: row `pos` of each array
+    here is trial `live[pos]`. The arrays are the classifier buffer `theta`
+    (one trial's parameters, weights first, so an optimizer steps them as one
+    array) and its gradient, the transition `weights` (None when fixed), both
+    optimizers' slots, and the epoch's inputs `x`, targets `t` and sums.
+    `failed` maps each trial that left the stack to its exception. A step
+    uses the views `bind` makes; once one trial is left they are views of its
+    row (`lead` = 0), so its per-trial numbers, and the sums that `gather`
+    starts, are numpy scalars: the same bits without the call overhead of
+    many tiny array operations."""
+
+    def __init__(self, inits: list[model.ClassifierParams], head: str, opt: OptimizerSpec):
+        self.live = np.arange(len(inits))
+        self.theta = np.stack([model._flatten(p) for p in inits])
+        self.grad_theta = np.empty_like(self.theta)
+        self.shapes, self.head = inits[0], head
+        self.opt_theta = OptimizerState(opt, self.theta)
+        self.weights = self.opt_w = None
+        self.x = self.t = self.fid_sum = self.sign_events = None  # set by `gather`
+        self.failed: dict[int, Exception] = {}
+        self.bind()
+
+    def bind(self) -> None:
+        self.lead = lead = 0 if len(self.live) == 1 else slice(None)
+        views = model._views(self.theta[lead], self.shapes)
+        self.step_params = model.ClassifierParams(*views, self.head)
+        self.step_grads = model._views(self.grad_theta[lead], self.shapes)
+        self.step_tt = None if self.weights is None else (
+            transition.TrainableTransition(self.weights[lead])
+        )
+
+    def row(self, pos: int) -> tuple[model.ClassifierParams, np.ndarray | None]:
+        """Copies of one trial's classifier parameters and transition weights."""
+        params = model.ClassifierParams(*model._views(self.theta[pos], self.shapes), self.head)
+        return params.copy(), None if self.weights is None else self.weights[pos].copy()
+
+    def gather(self, orders: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
+        """Gather each trial's inputs and targets once per epoch, in its order,
+        so that each batch is a slice; zero the epoch's sums."""
+        pick = (self.live[:, None], orders)
+        self.x, self.t = x[pick], t[pick]
+        self.fid_sum = np.zeros(len(self.live))[self.lead]
+        self.sign_events = np.zeros(len(self.live), dtype=np.int64)[self.lead]
+
+    def keep(self, mask: np.ndarray) -> None:
+        """Keep only the rows `mask` selects, in every array."""
+        self.live, self.theta = self.live[mask], self.theta[mask]
+        self.grad_theta, self.x, self.t = self.grad_theta[mask], self.x[mask], self.t[mask]
+        self.fid_sum = np.atleast_1d(self.fid_sum)[mask]
+        self.sign_events = np.atleast_1d(self.sign_events)[mask]
+        if self.weights is not None:
+            self.weights = self.weights[mask]
+        for opt in (self.opt_theta, self.opt_w):
+            if opt is not None:
+                opt.m, opt.v = opt.m[mask], opt.v[mask]
+        self.bind()
+
+    def fail(self, failed: dict[int, Exception]) -> None:
+        """Record each failed row's exception and take its trial out."""
+        for pos, exc in failed.items():
+            self.failed[int(self.live[pos])] = exc
+        mask = np.ones(len(self.live), dtype=bool)
+        mask[list(failed)] = False
+        self.keep(mask)
+
+
 def train(
     train_set,
     val_set,
@@ -395,18 +456,18 @@ def train(
     one entry per trial, and then `true_transition`, `soft_targets` and
     `val_soft_targets` are lists too when given (a `true_transition` entry
     may be None). The configs must be equal but for their seeds, and the
-    training sets of one size; `fixed_transition` is shared. The trials
-    step together, each exactly as it would alone, and the result is a
+    training sets of one size; `fixed_transition` is shared. The result is a
     list with one entry per trial: its TrainResult, or the exception it
     would raise alone. A failed trial leaves the stack; the others go on.
     """
     single = not isinstance(train_set, list)
     if single:
         train_set, val_set, config = [train_set], [val_set], [config]
-        true_transition = [true_transition]
+        true_transition, val_soft_targets = [true_transition], [val_soft_targets]
         soft_targets = None if soft_targets is None else [soft_targets]
-        val_soft_targets = None if val_soft_targets is None else [val_soft_targets]
     trials = len(train_set)
+    true_transition = true_transition or [None] * trials
+    val_soft_targets = val_soft_targets or [None] * trials
     cfg = config[0]
     if any(replace(c, seed=cfg.seed) != cfg for c in config):
         raise ValueError("lockstep trials must share their config but for the seed")
@@ -419,242 +480,152 @@ def train(
         raise ValueError("batch_size must be >= 1 and epochs >= 0")
     if len({ts.n for ts in train_set}) != 1:
         raise ValueError("lockstep trials need training sets of one size")
-    if true_transition is None:
-        true_transition = [None] * trials
-    x_train = np.stack([np.asarray(ts.x, dtype=np.float64) for ts in train_set])
-    y_train = (
-        np.stack([ts.labels for ts in train_set]) if soft_targets is None else None
-    )
-    s_train = None if soft_targets is None else np.stack(soft_targets)
-    x_val = [np.asarray(vs.x, dtype=np.float64) for vs in val_set]
+    x_train = np.stack([ts.x for ts in train_set])
+    # Per trial, its training labels or, with soft targets, their rows.
+    soft = soft_targets is not None
+    t_train = np.stack(soft_targets if soft else [ts.labels for ts in train_set])
     classes = train_set[0].classes
     n = x_train.shape[1]
     if n == 0:
         raise ValueError("empty training set")
 
-    if (
-        cfg.head == "sparsemax"
-        and fixed_transition is not None
-        and (np.asarray(fixed_transition) <= 0.0).any()
-    ):
-        raise ValueError(
-            "the sparsemax head outputs exact zeros, which a fixed transition "
-            "with a zero entry passes on to observed labels; use the softmax "
-            "or sparsemax-smoothed head"
-        )
+    trainable = fixed_transition is None
     # With the softmax head and a fixed transition the warm-up changes nothing.
-    warmup = 0 if (fixed_transition is not None and cfg.head == "softmax") else (
+    warmup = 0 if (not trainable and cfg.head == "softmax") else (
         min(WARMUP_EPOCHS, max(cfg.epochs - 1, 0))
     )
-    inits = [
+    stack = _Stack([
         model.init_classifier(x_train.shape[2], tuple(cfg.hidden), classes, c.seed)
         for c in config
-    ]
-    # One buffer row holds every classifier parameter of one trial, weights
-    # first, and one its gradient, so the optimizer steps them as a single
-    # array; `shapes` gives one trial's parameter shapes.
-    shapes = inits[0]
-    theta = np.stack([model._flatten(p) for p in inits])
-    grad_theta = np.empty_like(theta)
-    weight_count = sum(w.size for w in shapes.weights)
-    head = "softmax" if warmup else cfg.head
-    start = None if fixed_transition is not None else transition.init_weights(classes)
-    if fixed_transition is not None:
+    ], "softmax" if warmup else cfg.head, cfg.classifier_opt)
+    weight_count = sum(w.size for w in stack.shapes.weights)
+    if trainable:
+        # From here on `fixed_transition` is the matrix the classifier trains
+        # against before the transition moves: the default start, realized.
+        default = transition.init_weights(classes)
+        fixed_transition = transition.realize(default)
+        stack.weights = np.stack([default.weights] * trials)
+    else:
         noise.validate_transition(fixed_transition, classes=classes, col_tol=1e-6)
-    # During the warm-up the transition is a constant, stepped like a fixed one.
-    frozen = fixed_transition if start is None else transition.realize(start)
-    frozen_logdet = linalg.signed_logdet(frozen)
-    tt = None if start is None else transition.TrainableTransition(
-        np.stack([start.weights] * trials)
-    )
+        if cfg.head == "sparsemax" and (np.asarray(fixed_transition) <= 0.0).any():
+            raise ValueError(
+                "the sparsemax head outputs exact zeros, which a fixed transition "
+                "with a zero entry passes on to observed labels; use the softmax "
+                "or sparsemax-smoothed head"
+            )
+    fixed_logdet = linalg.signed_logdet(fixed_transition)
 
-    head_opt = cfg.head_opt or cfg.classifier_opt
-    # Weight decay never touches the transition weights.
-    transition_opt = replace(cfg.transition_opt, weight_decay=0.0)
-    opt_theta = OptimizerState(cfg.classifier_opt if warmup else head_opt, theta)
-    opt_w = None if tt is None or warmup else OptimizerState(transition_opt, tt.weights)
-
-    # Per trial, by its index in the arguments: the outcome, the history and
-    # the selected checkpoint (metric, params, weights, matrix, epoch).
-    results: list = [None] * trials
-    histories = [TrainHistory() for _ in range(trials)]
-    best = [(-np.inf, None, None, None, 0)] * trials
-    last_t = [frozen] * trials
-    # The trials still training: row `pos` of every stacked array is trial
-    # live[pos].
-    live = np.arange(trials)
-    x_epoch = y_epoch = s_epoch = fid_sum = sign_events = None
-
-    def trial_params(pos: int) -> model.ClassifierParams:
-        return model.ClassifierParams(*model._views(theta[pos], shapes), head)
-
-    def bind():
-        """What a step reads and writes: views of the stacked arrays, or,
-        with one trial left, of that trial's row. Its per-trial numbers are
-        then numpy scalars, not one-element arrays: the same bits, without
-        the call overhead of many tiny array operations per step."""
-        nonlocal lead, step_params, grad_views, step_tt
-        if not len(live):
-            return
-        lead = slice(None) if len(live) > 1 else 0
-        step_params = model.ClassifierParams(*model._views(theta[lead], shapes), head)
-        grad_views = model._views(grad_theta[lead], shapes)
-        step_tt = None if tt is None else transition.TrainableTransition(tt.weights[lead])
-
-    def drop(failed: dict[int, Exception]) -> np.ndarray:
-        """Record each failed row's exception and take its trial out of
-        every stacked array; returns the kept rows' mask."""
-        nonlocal live, theta, grad_theta, tt
-        nonlocal x_epoch, y_epoch, s_epoch, fid_sum, sign_events
-        for pos, exc in failed.items():
-            results[live[pos]] = exc
-        keep = np.ones(len(live), dtype=bool)
-        keep[list(failed)] = False
-        live, theta, grad_theta = live[keep], theta[keep], grad_theta[keep]
-        opt_theta.keep(keep)
-        if tt is not None:
-            tt = transition.TrainableTransition(tt.weights[keep])
-        if opt_w is not None:
-            opt_w.keep(keep)
-        x_epoch = x_epoch[keep]
-        fid_sum = np.atleast_1d(fid_sum)[keep]
-        sign_events = np.atleast_1d(sign_events)[keep]
-        y_epoch = None if y_epoch is None else y_epoch[keep]
-        s_epoch = None if s_epoch is None else s_epoch[keep]
-        bind()
-        return keep
-
-    lead = step_params = grad_views = step_tt = None
-    bind()
+    # Per trial, by its index in the arguments: its selected checkpoint, and
+    # the metric that selected it. An empty validation set selects every
+    # epoch, so the last one stands; zero epochs leave the start.
+    results = [
+        TrainResult(*stack.row(pos), fixed_transition, TrainHistory(), 0)
+        for pos in range(trials)
+    ]
+    best_metric = [-np.inf] * trials
+    # Each batch of an epoch: its index, its slice and its number of rows.
+    batches = [
+        (b, slice(lo, lo + cfg.batch_size), min(lo + cfg.batch_size, n) - lo)
+        for b, lo in enumerate(range(0, n, cfg.batch_size))
+    ]
     for epoch in range(1, cfg.epochs + 1):
-        if not len(live):
-            break
-        if warmup and epoch == warmup + 1:
-            head = cfg.head
+        if epoch == warmup + 1:
+            # The joint phase starts, after the warm-up or without one.
+            stack.head = cfg.head
             if cfg.head_opt is not None:
-                opt_theta = OptimizerState(head_opt, theta)
-            if tt is not None:
-                # One trial at a time: a stacked forward over every training
-                # row would hold S copies of its activations.
-                starts = []
-                for pos, i in enumerate(live.tolist()):
-                    targets = (
-                        soft_targets[i] if soft_targets is not None
-                        else np.eye(classes)[y_train[i]]
-                    )
-                    starts.append(confusion_start(
-                        trial_params(pos), x_train[i], targets, frozen
-                    ).weights)
-                tt = transition.TrainableTransition(np.stack(starts))
-                opt_w = OptimizerState(transition_opt, tt.weights)
-            bind()
-        joint = tt is not None and epoch > warmup
+                stack.opt_theta = OptimizerState(cfg.head_opt, stack.theta)
+            if trainable:
+                if warmup:
+                    # One trial at a time: a stacked forward over every
+                    # training row would hold S copies of its activations.
+                    starts = []
+                    for pos, i in enumerate(stack.live.tolist()):
+                        targets = t_train[i] if soft else np.eye(classes)[t_train[i]]
+                        starts.append(confusion_start(
+                            stack.row(pos)[0], x_train[i], targets, fixed_transition
+                        ).weights)
+                    stack.weights = np.stack(starts)
+                # Weight decay never touches the transition weights.
+                spec = replace(cfg.transition_opt, weight_decay=0.0)
+                stack.opt_w = OptimizerState(spec, stack.weights)
+            stack.bind()
+        joint = trainable and epoch > warmup
         scale = lr_scale_at(cfg.lr_schedule, epoch)
-        orders = np.stack([
+        stack.gather(np.stack([
             np.random.default_rng([config[i].seed, _SHUFFLE_STREAM, epoch]).permutation(n)
-            for i in live.tolist()
-        ])
-        # One gather per epoch; each batch is then a slice of it.
-        pick = (live[:, None], orders)
-        x_epoch = x_train[pick]
-        y_epoch = None if y_train is None else y_train[pick]
-        s_epoch = None if s_train is None else s_train[pick]
-        # Per-trial sums: numpy scalars while one trial trains alone.
-        fid_sum = np.zeros(len(live))[lead]
-        sign_events = np.zeros(len(live), dtype=np.int64)[lead]
-        for b, start in enumerate(range(0, n, cfg.batch_size)):
-            batch = slice(start, start + cfg.batch_size)
+            for i in stack.live.tolist()
+        ]), x_train, t_train)
+        for b, batch, size in batches:
             stats = None
-            while stats is None and len(live):
+            # A failed trial leaves before anything is stepped; retry without it.
+            while stats is None and len(stack.live):
+                t = stack.t[stack.lead, batch]
                 try:
                     stats, grad_w, _ = loss_and_grads(
-                        step_params, step_tt if joint else frozen, x_epoch[lead, batch],
-                        None if y_epoch is None else y_epoch[lead, batch], cfg.lam,
-                        soft_targets=None if s_epoch is None else s_epoch[lead, batch],
+                        stack.step_params,
+                        stack.step_tt if joint else fixed_transition,
+                        stack.x[stack.lead, batch], None if soft else t, cfg.lam,
+                        soft_targets=t if soft else None,
                         natural=True,
-                        fixed_logdet=None if joint else frozen_logdet,
-                        _grad_out=grad_views,
+                        fixed_logdet=None if joint else fixed_logdet,
+                        _grad_out=stack.step_grads,
                     )
                 except linalg.SingularMatrixError as exc:
-                    # Nothing was stepped: retry the batch without them.
-                    rows = range(len(live)) if exc.trials is None else exc.trials
-                    drop({pos: exc for pos in rows})
+                    rows = range(len(stack.live)) if exc.trials is None else exc.trials
+                    stack.fail({pos: exc for pos in rows})
+                    continue
+                if not _finite(stats.loss):
+                    message = f"non-finite loss at epoch {epoch}, batch {b}"
+                    bad = np.flatnonzero(~np.isfinite(stats.loss))
+                    stack.fail({pos: FloatingPointError(message) for pos in bad})
+                    stats = None
             if stats is None:
                 break
-            fid_sum += stats.fidelity * (min(start + cfg.batch_size, n) - start)
-            sign_events += stats.det_sign_events
-            if not _finite(stats.loss):
-                message = f"non-finite loss at epoch {epoch}, batch {b}"
-                bad = np.flatnonzero(~np.isfinite(stats.loss))
-                keep = drop({pos: FloatingPointError(message) for pos in bad})
-                if not len(live):
-                    break
-                if grad_w is not None:
-                    grad_w = grad_w[keep]
-            opt_theta.step(theta, grad_theta, scale)
+            stack.fid_sum += stats.fidelity * size
+            stack.sign_events += stats.det_sign_events
+            stack.opt_theta.step(stack.theta, stack.grad_theta, scale)
             if joint:
-                opt_w.step(tt.weights, grad_w, scale)
-            bad_w = joint and not np.isfinite(tt.weights).all()
-            if bad_w or not np.isfinite(theta[:, :weight_count]).all():
-                failed = {}
-                for pos in range(len(live)):
-                    if bad_w and not np.isfinite(tt.weights[pos]).all():
-                        failed[pos] = FloatingPointError(
-                            f"non-finite transition weights at epoch {epoch}"
-                        )
-                    elif not np.isfinite(theta[pos, :weight_count]).all():
-                        failed[pos] = FloatingPointError(
-                            f"non-finite classifier weights at epoch {epoch}"
-                        )
-                drop(failed)
-                if not len(live):
-                    break
+                stack.opt_w.step(stack.weights, grad_w, scale)
+            # A trial with both non-finite is named by its transition weights.
+            for part in ("transition", "classifier") if joint else ("classifier",):
+                w = stack.weights if part == "transition" else stack.theta[:, :weight_count]
+                if not np.isfinite(w).all():
+                    bad = np.flatnonzero(~np.isfinite(w.reshape(len(w), -1)).all(axis=1))
+                    message = f"non-finite {part} weights at epoch {epoch}"
+                    stack.fail({pos: FloatingPointError(message) for pos in bad})
+        if not len(stack.live):
+            break
 
-        if tt is not None and len(live):
-            t_hats = transition.realize(tt)
+        if trainable:
+            t_hats = transition.realize(transition.TrainableTransition(stack.weights))
             signs, logabss = linalg.signed_logdet(t_hats)
-        fid_sum, sign_events = np.atleast_1d(fid_sum), np.atleast_1d(sign_events)
-        for pos, i in enumerate(live.tolist()):
-            if tt is None:
-                t_hat, (sign, logabs) = frozen, frozen_logdet
-            else:
+        fid_sum = np.atleast_1d(stack.fid_sum)
+        sign_events = np.atleast_1d(stack.sign_events)
+        for pos, i in enumerate(stack.live.tolist()):
+            if trainable:
                 t_hat, sign, logabs = t_hats[pos], float(signs[pos]), float(logabss[pos])
-            last_t[i] = t_hat
-            trial = trial_params(pos)
+            else:
+                t_hat, (sign, logabs) = fixed_transition, fixed_logdet
+            params, weights = stack.row(pos)
             est = (
                 noise.estimation_error(true_transition[i], t_hat)
                 if true_transition[i] is not None
                 else None
             )
             metric = _val_metric(
-                cfg.selection_metric, trial, t_hat, x_val[i],
-                val_set[i].labels if val_soft_targets is None else None,
-                None if val_soft_targets is None else val_soft_targets[i],
+                cfg.selection_metric, params, t_hat, val_set[i].x, val_set[i].labels,
+                val_soft_targets[i],
             )
-            histories[i].rows.append(EpochRow(
+            history = results[i].history
+            history.rows.append(EpochRow(
                 epoch, float(fid_sum[pos] / n), sign, logabs, est, metric,
                 int(sign_events[pos]),
             ))
-            if epoch > warmup and not math.isnan(metric) and metric >= best[i][0]:
-                weights = None if tt is None else tt.weights[pos].copy()
-                best[i] = (metric, trial.copy(), weights, t_hat, epoch)
+            if epoch > warmup and (metric >= best_metric[i] or not val_set[i].n):
+                best_metric[i] = metric
+                results[i] = TrainResult(params, weights, t_hat, history, epoch)
 
-    for pos, i in enumerate(live.tolist()):
-        _, best_params, best_weights, best_t, best_epoch = best[i]
-        if best_epoch == 0:
-            # No epoch was selected (an empty validation set or zero
-            # epochs): the final state stands.
-            best_params = trial_params(pos).copy()
-            best_weights = None if tt is None else tt.weights[pos].copy()
-            best_t = last_t[i]
-            best_epoch = len(histories[i].rows)
-        results[i] = TrainResult(
-            params=best_params,
-            transition_weights=best_weights,
-            transition=best_t,
-            history=histories[i],
-            best_epoch=best_epoch,
-        )
+    results = [stack.failed.get(i, result) for i, result in enumerate(results)]
     if single:
         if isinstance(results[0], Exception):
             raise results[0]

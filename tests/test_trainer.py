@@ -1014,6 +1014,49 @@ class TestLockstep:
             train_set, val_set, cfg, kwargs = trials[k]
             assert_same_result(got[k], trainer.train(train_set, val_set, cfg, **kwargs))
 
+    @pytest.mark.parametrize("rows", [(1,), (0, 1, 2)], ids=["one-trial", "every-trial"])
+    @pytest.mark.parametrize(
+        "part, fail_epoch",
+        [("classifier", 2), ("transition", trainer.WARMUP_EPOCHS + 1)],
+        ids=["warm-up-classifier", "joint-transition"],
+    )
+    def test_non_finite_weights_leave_the_stack(self, monkeypatch, part, fail_epoch, rows):
+        # A NaN gradient at the third step of `fail_epoch` makes the `part`
+        # weights of the trials in `rows` non-finite once they are stepped.
+        trials = [lockstep_setup("warmup-then-sparsemax", 3, s) for s in (5, 6, 7)]
+        steps = -(-trials[0][0].n // trials[0][2].batch_size)
+        failing = (fail_epoch - 1) * steps + 2
+        real = trainer.loss_and_grads
+        calls = []
+
+        def inject(index):
+            # `index` picks the poisoned rows of a stacked gradient.
+            def wrapped(*args, **kwargs):
+                calls.append(None)
+                out = real(*args, **kwargs)
+                if len(calls) - 1 == failing:
+                    _, grad_w, (grad_ws, _) = out
+                    (grad_w if part == "transition" else grad_ws[0])[index] = np.nan
+                return out
+            return wrapped
+
+        monkeypatch.setattr(trainer, "loss_and_grads", inject(list(rows)))
+        got = train_stack(trials)
+        message = f"non-finite {part} weights at epoch {fail_epoch}"
+        for k, (train_set, val_set, cfg, kwargs) in enumerate(trials):
+            calls.clear()
+            if k not in rows:
+                monkeypatch.setattr(trainer, "loss_and_grads", real)
+                assert_same_result(got[k], trainer.train(train_set, val_set, cfg, **kwargs))
+                continue
+            monkeypatch.setattr(trainer, "loss_and_grads", inject(...))
+            with pytest.raises(FloatingPointError) as alone:
+                trainer.train(train_set, val_set, cfg, **kwargs)
+            assert isinstance(got[k], FloatingPointError)
+            assert str(got[k]) == str(alone.value) == message
+        if len(rows) == len(trials):
+            assert not any(isinstance(r, trainer.TrainResult) for r in got)
+
     def test_singular_transition_leaves_the_stack(self, monkeypatch):
         # Trial 0's realized transition reads as singular at one joint step;
         # the step is retried without it and the others keep their bits.
