@@ -17,11 +17,11 @@ produces while `signed_logdet` still reports a nonzero sign.
 Text format: one row per line, entries as decimal floats separated by
 commas; lines starting with '#' are comments and are ignored. Floats are
 written with `repr`, which round-trips exactly, called once per distinct
-value of a table. `format_rows` and `parse_rows` are the one codec for every
-float table the package writes: matrix files, checkpoint blocks, and the
-dataset CSVs of `volmin.data`. A table of repr and int text is read in one
-`np.loadtxt` pass; any other table, and one that pass rejects, is scanned
-line by line, and the scan names the first bad line and token.
+value of a table. `format_rows` writes every float table: matrix files, the
+dataset CSVs of `volmin.data` and classifier files; `parse_rows` reads all
+but the classifier files, which nothing reads back. A table of repr and int
+text is read in one `np.loadtxt` pass; any other table, and one that pass
+rejects, is scanned line by line, which names the first bad line and token.
 """
 
 from __future__ import annotations
@@ -216,7 +216,7 @@ def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
 
 # ---------------------------------------------------------------------------
 # Float tables: the one codec behind dataset CSVs, posterior siblings,
-# matrix files and checkpoint blocks. `parse_rows` hands numpy only these
+# matrix files and classifier files. `parse_rows` hands numpy only these
 # characters: numpy's parser takes '1\x1c' as 1 where float()/int() refuse,
 # and numpy 2.4 reads a non-ASCII label digit out of bounds.
 _TABLE_CHARS = b"0123456789.e+-,"
@@ -294,8 +294,9 @@ def read_matrix_text(path: str | Path) -> np.ndarray:
     return parse_rows(rows, linenos, str(path), width, width)[0]
 
 
-# Parameter checkpoints: a flat list of named blocks, each a matrix in the
-# text format above, delimited by '# block: <name> <rows> <cols>' headers.
+# Classifier files: a flat list of named blocks, each a matrix in the text
+# format above, delimited by '# block: <name> <rows> <cols>' headers. They are
+# written for inspection; nothing reads them back.
 
 
 def write_named_blocks(path: str | Path, blocks: list[tuple[str, np.ndarray]]) -> None:
@@ -307,32 +308,3 @@ def write_named_blocks(path: str | Path, blocks: list[tuple[str, np.ndarray]]) -
         chunks.append(f"# block: {name} {arr.shape[0]} {arr.shape[1]}")
         chunks += format_rows(arr)
     atomic_write_text(path, "\n".join(chunks) + "\n")
-
-
-def read_named_blocks(path: str | Path) -> list[tuple[str, np.ndarray]]:
-    source = str(path)
-    text = read_text(path)
-    heads = []  # (header lineno, name, rows, cols, that block's rows, their linenos)
-    for lineno, raw in enumerate(text.split("\n"), start=1):
-        line = raw.strip()
-        if line.startswith("# block:"):
-            parts = line[len("# block:") :].split()
-            if len(parts) != 3 or not (parts[1].isdigit() and parts[2].isdigit()):
-                raise ValueError(f"{source}:{lineno}: malformed block header")
-            heads.append((lineno, parts[0], int(parts[1]), int(parts[2]), [], []))
-        elif line and not line.startswith("#"):
-            if not heads:
-                raise ValueError(f"{source}:{lineno}: matrix row outside any block")
-            heads[-1][4].append(line)
-            heads[-1][5].append(lineno)
-    if not heads:
-        raise ValueError(f"{source}: no blocks found")
-    blocks = []
-    for lineno, name, rows, cols, lines, linenos in heads:
-        arr = parse_rows(lines, linenos, source, cols, cols)[0]
-        if arr.shape[0] != rows:
-            raise ValueError(
-                f"{source}:{lineno}: block {name} declares {rows} rows, got {arr.shape[0]}"
-            )
-        blocks.append((name, arr))
-    return blocks

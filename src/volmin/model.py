@@ -218,23 +218,3 @@ def save_classifier(path, params: ClassifierParams) -> None:
         blocks.append((f"layer{l}.bias", b[None, :]))
     blocks.append((f"head.{params.head}", np.ones((1, 1))))
     linalg.write_named_blocks(path, blocks)
-
-
-def load_classifier(path) -> ClassifierParams:
-    """Inverse of `save_classifier`; a file without a head block is softmax."""
-    blocks = dict(linalg.read_named_blocks(path))
-    weights, biases = [], []
-    l = 0
-    while f"layer{l}.weight" in blocks:
-        weights.append(blocks[f"layer{l}.weight"])
-        biases.append(blocks[f"layer{l}.bias"][0])
-        l += 1
-    if not weights:
-        raise ValueError(f"{path}: no classifier layers found")
-    heads = [name[len("head."):] for name in blocks if name.startswith("head.")]
-    if len(heads) > 1:
-        raise ValueError(f"{path}: more than one head block")
-    head = heads[0] if heads else "softmax"
-    if head not in HEADS:
-        raise ValueError(f"{path}: unknown head {head!r}; expected one of {HEADS}")
-    return ClassifierParams(weights, biases, head)

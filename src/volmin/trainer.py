@@ -446,8 +446,9 @@ def train(
     head is refused with a fixed transition that has a zero entry.
 
     A non-finite loss raises FloatingPointError naming its epoch and batch,
-    non-finite classifier or transition weights raise it naming the epoch,
-    and a singular realized transition raises linalg.SingularMatrixError.
+    non-finite classifier weights or biases, or transition weights, raise it
+    naming the epoch, and a singular realized transition raises
+    linalg.SingularMatrixError.
 
     Ties in the selection metric resolve to the LATEST epoch attaining the
     maximum (the transition keeps converging after the metric plateaus).
@@ -498,7 +499,6 @@ def train(
         model.init_classifier(x_train.shape[2], tuple(cfg.hidden), classes, c.seed)
         for c in config
     ], "softmax" if warmup else cfg.head, cfg.classifier_opt)
-    weight_count = sum(w.size for w in stack.shapes.weights)
     if trainable:
         # From here on `fixed_transition` is the matrix the classifier trains
         # against before the transition moves: the default start, realized.
@@ -588,7 +588,7 @@ def train(
                 stack.opt_w.step(stack.weights, grad_w, scale)
             # A trial with both non-finite is named by its transition weights.
             for part in ("transition", "classifier") if joint else ("classifier",):
-                w = stack.weights if part == "transition" else stack.theta[:, :weight_count]
+                w = stack.weights if part == "transition" else stack.theta
                 if not np.isfinite(w).all():
                     bad = np.flatnonzero(~np.isfinite(w.reshape(len(w), -1)).all(axis=1))
                     message = f"non-finite {part} weights at epoch {epoch}"
@@ -596,13 +596,13 @@ def train(
         if not len(stack.live):
             break
 
-        if trainable:
+        if joint:
             t_hats = transition.realize(transition.TrainableTransition(stack.weights))
             signs, logabss = linalg.signed_logdet(t_hats)
         fid_sum = np.atleast_1d(stack.fid_sum)
         sign_events = np.atleast_1d(stack.sign_events)
         for pos, i in enumerate(stack.live.tolist()):
-            if trainable:
+            if joint:
                 t_hat, sign, logabs = t_hats[pos], float(signs[pos]), float(logabss[pos])
             else:
                 t_hat, (sign, logabs) = fixed_transition, fixed_logdet

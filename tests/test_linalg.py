@@ -280,43 +280,6 @@ class TestMatrixText:
             linalg.read_matrix_text(path)
         assert str(got.value) == f"{path}{message}"
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("# block: w 2 2\n1.0,2.0\n3.0,oops\n", ":3: bad float 'oops'"),
-            ("# block: w 2 2\n1.0,2.0\n3.0\n", ":3: expected 2 fields, got 1"),
-            ("# block: b 1 2\n1.0,2.0\n# block: w 1 1\n-inf\n",
-             ":4: non-finite value '-inf'"),
-            ("# block: w 2 2\n1.0,2.0\n# block: b 1 2\n1.0,2.0\n",
-             ":1: block w declares 2 rows, got 1"),
-            ("# block: w 1 1\n1.0\n1.0\n", ":1: block w declares 1 rows, got 2"),
-            ("# a comment\n1.0,2.0\n# block: w 1 2\n1.0,2.0\n",
-             ":2: matrix row outside any block"),
-            ("# block: w two 2\n", ":1: malformed block header"),
-        ],
-        ids=["bad-float", "ragged", "non-finite", "too-few-rows", "too-many-rows",
-             "outside-block", "bad-header"],
-    )
-    def test_checkpoint_names_first_bad_line_and_token(self, tmp_path, text, message):
-        path = tmp_path / "ckpt.txt"
-        path.write_text(text)
-        with pytest.raises(ValueError) as got:
-            linalg.read_named_blocks(path)
-        assert str(got.value) == f"{path}{message}"
-
-    def test_named_blocks_round_trip(self, tmp_path):
-        rng = np.random.default_rng(18)
-        blocks = [
-            ("layer0.weight", rng.standard_normal((3, 2))),
-            ("layer0.bias", rng.standard_normal((1, 3))),
-        ]
-        path = tmp_path / "ckpt.txt"
-        linalg.write_named_blocks(path, blocks)
-        back = linalg.read_named_blocks(path)
-        assert [name for name, _ in back] == [name for name, _ in blocks]
-        for (_, want), (_, got) in zip(blocks, back):
-            assert np.array_equal(want, got)
-
 
 # Tokens a person might write into a table by hand, next to the reprs the
 # package writes: each is read the way float()/int() read it, or refused.

@@ -885,6 +885,32 @@ class TestNumericalFailure:
         joint = fail_epoch > trainer.WARMUP_EPOCHS
         assert isinstance(stepped[0], transition.TrainableTransition) == joint
 
+    def test_non_finite_bias_raises_at_its_step(self, monkeypatch):
+        # A NaN output-layer bias gradient at the run's last step: the bias
+        # goes non-finite while every weight and the loss stay finite.
+        ds = toy_dataset(200, classes=3, seed=93, noisy=True)
+        train_set, val_set = data.split(ds, 0.2, seed=93)
+        cfg = trainer.TrainConfig(
+            epochs=trainer.WARMUP_EPOCHS + 2, seed=93, hidden=(8,), batch_size=32
+        )
+        last = cfg.epochs * -(-len(train_set.x) // cfg.batch_size) - 1
+        real = trainer.loss_and_grads
+        calls = []
+
+        def wrapped(*args, **kwargs):
+            calls.append(None)
+            out = real(*args, **kwargs)
+            if len(calls) - 1 == last:
+                _, _, (_, grad_bs) = out
+                grad_bs[-1][...] = np.nan
+            return out
+
+        monkeypatch.setattr(trainer, "loss_and_grads", wrapped)
+        with pytest.raises(FloatingPointError) as raised:
+            trainer.train(train_set, val_set, cfg)
+        assert str(raised.value) == f"non-finite classifier weights at epoch {cfg.epochs}"
+        assert len(calls) == last + 1
+
 
 # ---------------------------------------------------------------------------
 # Lockstep: a stack of trials, one `train` call, the bits of separate calls.
@@ -1068,7 +1094,7 @@ class TestLockstep:
             sign, logabs = real(a)
             if np.ndim(sign) and len(sign) == 2:
                 calls.append(None)
-                if len(calls) == 40:
+                if len(calls) == 35:
                     sign, logabs = sign.copy(), logabs.copy()
                     sign[0], logabs[0] = 0.0, -np.inf
             return sign, logabs
