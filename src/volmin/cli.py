@@ -375,7 +375,10 @@ def _run_trials(cfg: config.ExperimentConfig, seeds, trial_dirs) -> dict[int, li
     for seed in seeds:
         trial_dir = trial_dirs[seed]
         try:
-            trial_dir.mkdir(parents=True, exist_ok=True)
+            try:
+                trial_dir.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                raise config.ConfigError(f"cannot create {trial_dir}: {exc.strerror}") from None
             ds, t_true = _corrupt(cfg, seed, trial_dir, _generate(cfg, seed, trial_dir))
             splits = _splits(cfg, ds, seed, with_test=True)
         except config.ConfigError as exc:

@@ -376,11 +376,7 @@ def read_csv(path, classes: int) -> Dataset:
     )
     if d < 1 or header != want:
         raise CsvError(f"{path}:1: bad header {raw[0]!r}")
-    x, labels = _parse_table(raw, len(header), d, path)
-    try:
-        y = np.array(labels, dtype=np.int64).reshape(n_labels, x.shape[0])
-    except OverflowError:
-        raise CsvError(f"{path}: label out of int64 range") from None
+    x, y = _parse_table(raw, len(header), d, path)
     bad = (y < 0) | (y >= classes)
     if bad.any():
         row, col = np.argwhere(bad.T)[0]

@@ -37,12 +37,13 @@ from .fileio import atomic_write_text, read_text
 
 # `nnls` stops once a residual reaches this fraction of ||b||.
 NNLS_FLOOR = 1e-12
+NNLS_TOL = 1e-10  # `nnls`'s dual stationarity tolerance, relative to ||r||
 
 
 class SingularMatrixError(ValueError):
-    """A factorization met a numerically singular matrix. For a stack of
-    matrices, `trials` holds the indices of the singular ones; it is None
-    for one matrix."""
+    """A factorization met a numerically singular matrix. `trials` holds the
+    indices of the singular matrices of a stack, [0] for one matrix; it is
+    None only where the error is rebuilt from its message (unpickling)."""
 
     def __init__(self, message: str, trials: np.ndarray | None = None):
         super().__init__(message)
@@ -85,19 +86,18 @@ def inverse_transpose(a) -> np.ndarray:
     """Inverse of the transpose, via the same LAPACK LU as signed_logdet.
 
     Raises SingularMatrixError wherever signed_logdet reports sign 0, and
-    also when the inverse overflows (the singularity rule above); for a
-    stack, its `trials` names every singular matrix of it.
+    also when the inverse overflows (the singularity rule above); its
+    `trials` names every singular matrix of a stack.
     """
     a = _square(a, "inverse")
-    stacked = a.ndim == 3
     try:
         inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         # The same LU: its zero pivots are where slogdet reports sign 0.
-        bad = np.flatnonzero(np.linalg.slogdet(a)[0] == 0) if stacked else None
+        bad = np.flatnonzero(np.linalg.slogdet(a)[0] == 0)
         raise SingularMatrixError("singular matrix: exactly zero pivot", bad) from None
     if not np.isfinite(inv).all():
-        bad = np.flatnonzero(~np.isfinite(inv).all(axis=(-2, -1))) if stacked else None
+        bad = np.flatnonzero(~np.isfinite(inv).all(axis=(-2, -1)))
         raise SingularMatrixError("singular matrix: the inverse is not finite", bad)
     return inv.swapaxes(-1, -2)
 
@@ -125,13 +125,13 @@ def _passive_lstsq(a: np.ndarray, b: np.ndarray, passive: np.ndarray):
     return out
 
 
-def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
+def nnls(a, b) -> tuple[np.ndarray, float | np.ndarray]:
     """Nonnegative least squares: min ||a x - b|| s.t. x >= 0.
 
-    Active-set scheme in the Lawson-Hanson mold. `tol` is the dual
+    Active-set scheme in the Lawson-Hanson mold. NNLS_TOL is the dual
     stationarity tolerance, applied relative to the current residual: the
     solve stops once every inactive column's gradient is below
-    ||a_j|| * (tol * ||r|| + 1e-14 * ||b||), or once the residual itself
+    ||a_j|| * (NNLS_TOL * ||r|| + 1e-14 * ||b||), or once the residual itself
     reaches the exactness floor NNLS_FLOOR * ||b||. An absolute gradient cutoff
     would declare stationarity too early on near-degenerate cones, where
     the improving gradient scales with the square of the remaining
@@ -171,7 +171,7 @@ def nnls(a, b, tol: float = 1e-10) -> tuple[np.ndarray, float | np.ndarray]:
         done = (
             (rnorm <= NNLS_FLOOR * bnorm[live])
             | ~np.isfinite(gj)
-            | (gj <= anorm[j] * (tol * rnorm + 1e-14 * bnorm[live]))
+            | (gj <= anorm[j] * (NNLS_TOL * rnorm + 1e-14 * bnorm[live]))
         )
         cap = ~done & (iters[live] >= max_iter)
         capped += int(cap.sum())
@@ -234,28 +234,27 @@ def format_rows(a) -> list[str]:
 def parse_rows(lines: list[str], linenos, source, width: int, floats: int):
     """(x, ints) from `lines`, each holding `width` comma-separated fields:
     the first `floats` fields of every line as a finite (n, floats) array,
-    and the later fields as one sequence of ints per field.
+    and the later fields as an int64 (width - floats, n) array.
 
     A table of `_TABLE_CHARS` is read by one `np.loadtxt` pass. A table that
     pass rejects, warns about or reads as non-finite, and any other table, is
     scanned line by line with float()/int(), so the ValueError names the first
     bad line and token of `source`; only that scan reads `linenos`, an
-    iterable of each line's number in `source`, and it gives lists of ints."""
+    iterable of each line's number in `source`."""
     text = ",".join(lines)
     fast = text.isascii() and not text.encode("ascii").translate(None, _TABLE_CHARS)
     if fast:
-        fields = [("x", np.float64, (floats,)), ("n", np.int64, (width - floats,))]
+        dtype = np.dtype([("x", np.float64, (floats,)), ("n", np.int64, (width - floats,))])
         try:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                dtype = np.dtype(fields[: 1 + (width > floats)])
                 table = np.loadtxt(lines, dtype, delimiter=",", comments=None, ndmin=1)
         except (ValueError, Warning):
             pass
         else:
             x = np.ascontiguousarray(table["x"])
             if len(table) == len(lines) and np.isfinite(x).all():  # it skips blank lines
-                return x, table["n"].T if width > floats else []
+                return x, table["n"].T
     xs, ints = [], [[] for _ in range(floats, width)]
     for lineno, line in zip(linenos, lines):
         parts = line.split(",")
@@ -270,11 +269,14 @@ def parse_rows(lines: list[str], linenos, source, width: int, floats: int):
             if not math.isfinite(row[-1]):
                 raise ValueError(f"{source}:{lineno}: non-finite value {token!r}")
         xs.append(row)
-        try:
-            for col, token in zip(ints, parts[floats:]):
+        for col, token in zip(ints, parts[floats:]):
+            try:
                 col.append(int(token))
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: bad label") from None
+            except ValueError:
+                raise ValueError(f"{source}:{lineno}: bad label") from None
+            if not -(2**63) <= col[-1] < 2**63:
+                raise ValueError(f"{source}:{lineno}: label out of int64 range")
+    ints = np.array(ints, dtype=np.int64).reshape(width - floats, len(xs))
     return np.array(xs, dtype=np.float64).reshape(len(xs), floats), ints
 
 

@@ -202,12 +202,10 @@ def _views(
 
 
 def _flatten(params: ClassifierParams) -> np.ndarray:
-    """Copy the parameters into one contiguous float64 buffer, weights first,
-    and rebind `params` to views of it; returns the buffer. An optimizer
-    then steps every parameter with a single array operation."""
-    flat = np.concatenate([p.ravel() for p in (*params.weights, *params.biases)])
-    params.weights, params.biases = _views(flat, params)
-    return flat
+    """A copy of the parameters as one contiguous float64 buffer, weights
+    first, so that an optimizer steps every parameter with a single array
+    operation."""
+    return np.concatenate([p.ravel() for p in (*params.weights, *params.biases)])
 
 
 def save_classifier(path, params: ClassifierParams) -> None:

@@ -176,6 +176,14 @@ def _finite(value) -> bool:
     return math.isfinite(value) if isinstance(value, float) else np.isfinite(value).all()
 
 
+def _failures(value, message: str) -> dict[int, Exception]:
+    """A FloatingPointError(message) for each trial whose row of `value`, one
+    row per trial or a number for one trial, has a non-finite entry."""
+    rows = np.isfinite(np.atleast_1d(value))
+    bad = np.flatnonzero(~rows.reshape(len(rows), -1).all(axis=1))
+    return {pos: FloatingPointError(message) for pos in bad.tolist()}
+
+
 def loss_and_grads(
     params: model.ClassifierParams,
     tt: transition.TrainableTransition | np.ndarray,
@@ -209,7 +217,7 @@ def loss_and_grads(
     axis, while a fixed matrix is shared by every trial. Each trial's
     gradients are then exactly its own call's, every stat is an array with
     one entry per trial, and a SingularMatrixError's `trials` names the
-    trials whose transition is singular.
+    trials whose transition is singular (every trial, for a fixed matrix).
 
     Returns (stats, grad_weights_or_None, (grad_ws, grad_bs)).
     """
@@ -257,7 +265,7 @@ def loss_and_grads(
         if not _finite(logabs):
             raise linalg.SingularMatrixError(
                 "realized transition is numerically singular",
-                np.flatnonzero(~np.isfinite(logabs)) if np.ndim(logabs) else None,
+                np.flatnonzero(~np.isfinite(np.broadcast_to(logabs, np.shape(fidelity)))),
             )
         loss = fidelity + lam * logabs
         if trainable:
@@ -352,35 +360,31 @@ class TrainResult:
 
 
 class _Stack:
-    """The trials of one `train` call still training: row `pos` of each array
-    here is trial `live[pos]`. The arrays are the classifier buffer `theta`
-    (one trial's parameters, weights first, so an optimizer steps them as one
-    array) and its gradient, the transition `weights` (None when fixed), both
-    optimizers' slots, and the epoch's inputs `x`, targets `t` and sums.
-    `failed` maps each trial that left the stack to its exception. A step
-    uses the views `bind` makes; once one trial is left they are views of its
-    row (`lead` = 0), so its per-trial numbers, and the sums that `gather`
-    starts, are numpy scalars: the same bits without the call overhead of
-    many tiny array operations."""
+    """The trials of one `train` call, row `pos` of each array being trial
+    `pos`: the classifier buffer `theta` (one trial's parameters, weights
+    first, so an optimizer steps them as one array) and its gradient, the
+    transition `weights` (None when fixed), both optimizers' slots, and the
+    epoch's inputs `x`, targets `t` and sums. A step uses the views `bind`
+    makes; for one trial they are views of its row (`lead` = 0), so its
+    per-trial numbers, and the sums that `gather` starts, are numpy scalars:
+    the same bits without the call overhead of many tiny array operations."""
 
     def __init__(self, inits: list[model.ClassifierParams], head: str, opt: OptimizerSpec):
-        self.live = np.arange(len(inits))
         self.theta = np.stack([model._flatten(p) for p in inits])
         self.grad_theta = np.empty_like(self.theta)
+        self.lead = 0 if len(inits) == 1 else slice(None)
         self.shapes, self.head = inits[0], head
         self.opt_theta = OptimizerState(opt, self.theta)
         self.weights = self.opt_w = None
         self.x = self.t = self.fid_sum = self.sign_events = None  # set by `gather`
-        self.failed: dict[int, Exception] = {}
         self.bind()
 
     def bind(self) -> None:
-        self.lead = lead = 0 if len(self.live) == 1 else slice(None)
-        views = model._views(self.theta[lead], self.shapes)
+        views = model._views(self.theta[self.lead], self.shapes)
         self.step_params = model.ClassifierParams(*views, self.head)
-        self.step_grads = model._views(self.grad_theta[lead], self.shapes)
+        self.step_grads = model._views(self.grad_theta[self.lead], self.shapes)
         self.step_tt = None if self.weights is None else (
-            transition.TrainableTransition(self.weights[lead])
+            transition.TrainableTransition(self.weights[self.lead])
         )
 
     def row(self, pos: int) -> tuple[model.ClassifierParams, np.ndarray | None]:
@@ -391,31 +395,10 @@ class _Stack:
     def gather(self, orders: np.ndarray, x: np.ndarray, t: np.ndarray) -> None:
         """Gather each trial's inputs and targets once per epoch, in its order,
         so that each batch is a slice; zero the epoch's sums."""
-        pick = (self.live[:, None], orders)
+        pick = (np.arange(len(orders))[:, None], orders)
         self.x, self.t = x[pick], t[pick]
-        self.fid_sum = np.zeros(len(self.live))[self.lead]
-        self.sign_events = np.zeros(len(self.live), dtype=np.int64)[self.lead]
-
-    def keep(self, mask: np.ndarray) -> None:
-        """Keep only the rows `mask` selects, in every array."""
-        self.live, self.theta = self.live[mask], self.theta[mask]
-        self.grad_theta, self.x, self.t = self.grad_theta[mask], self.x[mask], self.t[mask]
-        self.fid_sum = np.atleast_1d(self.fid_sum)[mask]
-        self.sign_events = np.atleast_1d(self.sign_events)[mask]
-        if self.weights is not None:
-            self.weights = self.weights[mask]
-        for opt in (self.opt_theta, self.opt_w):
-            if opt is not None:
-                opt.m, opt.v = opt.m[mask], opt.v[mask]
-        self.bind()
-
-    def fail(self, failed: dict[int, Exception]) -> None:
-        """Record each failed row's exception and take its trial out."""
-        for pos, exc in failed.items():
-            self.failed[int(self.live[pos])] = exc
-        mask = np.ones(len(self.live), dtype=bool)
-        mask[list(failed)] = False
-        self.keep(mask)
+        self.fid_sum = np.zeros(len(orders))[self.lead]
+        self.sign_events = np.zeros(len(orders), dtype=np.int64)[self.lead]
 
 
 def train(
@@ -459,7 +442,8 @@ def train(
     may be None). The configs must be equal but for their seeds, and the
     training sets of one size; `fixed_transition` is shared. The result is a
     list with one entry per trial: its TrainResult, or the exception it
-    would raise alone. A failed trial leaves the stack; the others go on.
+    would raise alone. A failure ends the stacked run, and the trials that did
+    not fail train again as one stack.
     """
     single = not isinstance(train_set, list)
     if single:
@@ -528,6 +512,8 @@ def train(
         (b, slice(lo, lo + cfg.batch_size), min(lo + cfg.batch_size, n) - lo)
         for b, lo in enumerate(range(0, n, cfg.batch_size))
     ]
+    # Each failed trial's exception, by row: the first failure ends the run.
+    failed: dict[int, Exception] = {}
     for epoch in range(1, cfg.epochs + 1):
         if epoch == warmup + 1:
             # The joint phase starts, after the warm-up or without one.
@@ -539,10 +525,10 @@ def train(
                     # One trial at a time: a stacked forward over every
                     # training row would hold S copies of its activations.
                     starts = []
-                    for pos, i in enumerate(stack.live.tolist()):
+                    for i in range(trials):
                         targets = t_train[i] if soft else np.eye(classes)[t_train[i]]
                         starts.append(confusion_start(
-                            stack.row(pos)[0], x_train[i], targets, fixed_transition
+                            stack.row(i)[0], x_train[i], targets, fixed_transition
                         ).weights)
                     stack.weights = np.stack(starts)
                 # Weight decay never touches the transition weights.
@@ -552,34 +538,26 @@ def train(
         joint = trainable and epoch > warmup
         scale = lr_scale_at(cfg.lr_schedule, epoch)
         stack.gather(np.stack([
-            np.random.default_rng([config[i].seed, _SHUFFLE_STREAM, epoch]).permutation(n)
-            for i in stack.live.tolist()
+            np.random.default_rng([c.seed, _SHUFFLE_STREAM, epoch]).permutation(n)
+            for c in config
         ]), x_train, t_train)
         for b, batch, size in batches:
-            stats = None
-            # A failed trial leaves before anything is stepped; retry without it.
-            while stats is None and len(stack.live):
-                t = stack.t[stack.lead, batch]
-                try:
-                    stats, grad_w, _ = loss_and_grads(
-                        stack.step_params,
-                        stack.step_tt if joint else fixed_transition,
-                        stack.x[stack.lead, batch], None if soft else t, cfg.lam,
-                        soft_targets=t if soft else None,
-                        natural=True,
-                        fixed_logdet=None if joint else fixed_logdet,
-                        _grad_out=stack.step_grads,
-                    )
-                except linalg.SingularMatrixError as exc:
-                    rows = range(len(stack.live)) if exc.trials is None else exc.trials
-                    stack.fail({pos: exc for pos in rows})
-                    continue
-                if not _finite(stats.loss):
-                    message = f"non-finite loss at epoch {epoch}, batch {b}"
-                    bad = np.flatnonzero(~np.isfinite(stats.loss))
-                    stack.fail({pos: FloatingPointError(message) for pos in bad})
-                    stats = None
-            if stats is None:
+            t = stack.t[stack.lead, batch]
+            try:
+                stats, grad_w, _ = loss_and_grads(
+                    stack.step_params,
+                    stack.step_tt if joint else fixed_transition,
+                    stack.x[stack.lead, batch], None if soft else t, cfg.lam,
+                    soft_targets=t if soft else None,
+                    natural=True,
+                    fixed_logdet=None if joint else fixed_logdet,
+                    _grad_out=stack.step_grads,
+                )
+            except linalg.SingularMatrixError as exc:
+                failed = dict.fromkeys(exc.trials.tolist(), exc)
+                break
+            if not _finite(stats.loss):
+                failed = _failures(stats.loss, f"non-finite loss at epoch {epoch}, batch {b}")
                 break
             stack.fid_sum += stats.fidelity * size
             stack.sign_events += stats.det_sign_events
@@ -590,10 +568,10 @@ def train(
             for part in ("transition", "classifier") if joint else ("classifier",):
                 w = stack.weights if part == "transition" else stack.theta
                 if not np.isfinite(w).all():
-                    bad = np.flatnonzero(~np.isfinite(w.reshape(len(w), -1)).all(axis=1))
-                    message = f"non-finite {part} weights at epoch {epoch}"
-                    stack.fail({pos: FloatingPointError(message) for pos in bad})
-        if not len(stack.live):
+                    failed = _failures(w, f"non-finite {part} weights at epoch {epoch}") | failed
+            if failed:
+                break
+        if failed:
             break
 
         if joint:
@@ -601,16 +579,14 @@ def train(
             signs, logabss = linalg.signed_logdet(t_hats)
         fid_sum = np.atleast_1d(stack.fid_sum)
         sign_events = np.atleast_1d(stack.sign_events)
-        for pos, i in enumerate(stack.live.tolist()):
+        for i in range(trials):
             if joint:
-                t_hat, sign, logabs = t_hats[pos], float(signs[pos]), float(logabss[pos])
+                t_hat, sign, logabs = t_hats[i], float(signs[i]), float(logabss[i])
             else:
                 t_hat, (sign, logabs) = fixed_transition, fixed_logdet
-            params, weights = stack.row(pos)
-            est = (
+            params, weights = stack.row(i)
+            est = None if true_transition[i] is None else (
                 noise.estimation_error(true_transition[i], t_hat)
-                if true_transition[i] is not None
-                else None
             )
             metric = _val_metric(
                 cfg.selection_metric, params, t_hat, val_set[i].x, val_set[i].labels,
@@ -618,14 +594,23 @@ def train(
             )
             history = results[i].history
             history.rows.append(EpochRow(
-                epoch, float(fid_sum[pos] / n), sign, logabs, est, metric,
-                int(sign_events[pos]),
+                epoch, float(fid_sum[i] / n), sign, logabs, est, metric,
+                int(sign_events[i]),
             ))
             if epoch > warmup and (metric >= best_metric[i] or not val_set[i].n):
                 best_metric[i] = metric
                 results[i] = TrainResult(params, weights, t_hat, history, epoch)
 
-    results = [stack.failed.get(i, result) for i, result in enumerate(results)]
+    if failed:
+        # Each trial's bits are its own in any stack, so the others train
+        # again from the start, as one stack without the failed ones.
+        rest = [i for i in range(trials) if i not in failed]
+        args = (train_set, val_set, config, true_transition, soft_targets, val_soft_targets)
+        kept = [None if arg is None else [arg[i] for i in rest] for arg in args]
+        again = iter(rest and train(
+            *kept[:3], None if trainable else fixed_transition, *kept[3:]
+        ))
+        results = [failed[i] if i in failed else next(again) for i in range(trials)]
     if single:
         if isinstance(results[0], Exception):
             raise results[0]

@@ -276,6 +276,19 @@ class TestExitCodes:
             f"volmin: config error: {key}: cannot create {out}: {reason}\n"
         )
 
+    def test_seed_dir_cannot_be_created(self, tmp_path, capsys):
+        # A file where seed 0's directory goes: its set-up fails, which
+        # stops the set-up of seed 1, and nothing trains.
+        cfg = write_cfg(tmp_path, TINY.replace("trials.seeds = 0", "trials.seeds = 0, 1"))
+        out = tmp_path / "out"
+        out.mkdir()
+        (out / "seed_0").write_text("", encoding="utf-8")
+        assert run("sweep", "--config", cfg) == 2
+        err = capsys.readouterr().err
+        assert err == f"volmin: config error: cannot create {out / 'seed_0'}: File exists\n"
+        assert "Traceback" not in err
+        assert not (out / "seed_1").exists() and not (out / "sweep.csv").exists()
+
     def test_anchor_command_needs_anchor_method(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, TINY + "estimators.methods = volmin\n")
         run("generate", "--config", cfg)

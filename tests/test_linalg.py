@@ -83,6 +83,18 @@ class TestInverseTranspose:
         with pytest.raises(linalg.SingularMatrixError):
             linalg.inverse_transpose([[1.0, 2.0], [2.0, 4.0]])
 
+    @pytest.mark.parametrize(
+        "singular, message",
+        [([[0.0, 0.0], [0.0, 1.0]], "zero pivot"), ([[1e-310, 0.0], [0.0, 1.0]], "not finite")],
+        ids=["zero-pivot", "subnormal-pivot"],
+    )
+    def test_trials_name_the_singular_matrices(self, singular, message):
+        # One matrix is trial 0; in a stack, each singular matrix names its row.
+        for a, trials in ((singular, [0]), ([np.eye(2), singular, np.eye(2), singular], [1, 3])):
+            with pytest.raises(linalg.SingularMatrixError, match=message) as raised:
+                linalg.inverse_transpose(np.array(a))
+            assert raised.value.trials.tolist() == trials
+
     @pytest.mark.parametrize("n", [2, 3, 10])
     @pytest.mark.parametrize(
         "kind, singular",
@@ -312,6 +324,8 @@ def scan_reference(lines, width, floats):
                 col.append(int(token))
             except ValueError:
                 return f"t:{lineno}: bad label"
+            if not -(2**63) <= col[-1] < 2**63:
+                return f"t:{lineno}: label out of int64 range"
     return np.array(xs, dtype=np.float64).reshape(len(xs), floats), ints
 
 
@@ -363,6 +377,23 @@ class TestTableCodec:
         with pytest.raises(ValueError) as got:
             linalg.parse_rows([line], [1], "t", 2, 1)
         assert str(got.value) == message
+
+    @pytest.mark.parametrize(
+        "lines, width, floats",
+        [
+            (["0.5,1,2", "1.0,3,4"], 3, 1),
+            (["0.5,1,2", "1E0,3,4"], 3, 1),
+            (["0.5,1.0", "1.0,2.0"], 2, 2),
+            (["0.5,1E0", "1.0,2.0"], 2, 2),
+        ],
+        ids=["labels-loadtxt", "labels-scan", "matrix-loadtxt", "matrix-scan"],
+    )
+    def test_labels_are_one_int64_array_on_both_paths(self, lines, width, floats):
+        # "E" is not a repr character, so the second and fourth tables go
+        # straight to the scan.
+        _, ints = linalg.parse_rows(lines, [1, 2], "t", width, floats)
+        assert ints.dtype == np.int64 and ints.shape == (width - floats, 2)
+        assert ints.tolist() == ([[1, 3], [2, 4]] if width > floats else [])
 
     def test_empty_line_is_not_skipped(self):
         with pytest.raises(ValueError, match=r"^t:2: bad float ''$"):

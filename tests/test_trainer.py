@@ -1106,3 +1106,57 @@ class TestLockstep:
         assert str(got[0]) == "realized transition is numerically singular"
         train_set, val_set, cfg, kwargs = trials[1]
         assert_same_result(got[1], trainer.train(train_set, val_set, cfg, **kwargs))
+
+    def test_two_failures_restart_the_stack_twice(self, monkeypatch):
+        # A NaN input row in trials 0 and 2, placed where each one's epoch-1
+        # shuffle puts it in batch 1 and batch 4: the stack of three ends at
+        # trial 0's failure, the stack of two at trial 2's, and trial 1
+        # trains alone to the end.
+        trials = [lockstep_setup("warmup-then-sparsemax", 3, s) for s in (5, 6, 7)]
+        for k, batch in ((0, 1), (2, 4)):
+            train_set, _, cfg, _ = trials[k]
+            stream = [cfg.seed, trainer._SHUFFLE_STREAM, 1]
+            order = np.random.default_rng(stream).permutation(train_set.n)
+            train_set.x[order[batch * cfg.batch_size]] = np.nan
+        real, sizes = trainer.train, []
+
+        def counted(train_set, *args, **kwargs):
+            sizes.append(len(train_set))
+            return real(train_set, *args, **kwargs)
+
+        monkeypatch.setattr(trainer, "train", counted)
+        got = train_stack(trials)
+        monkeypatch.setattr(trainer, "train", real)
+        assert sizes == [3, 2, 1]
+        for k, batch in ((0, 1), (2, 4)):
+            train_set, val_set, cfg, kwargs = trials[k]
+            with pytest.raises(FloatingPointError) as alone:
+                trainer.train(train_set, val_set, cfg, **kwargs)
+            assert isinstance(got[k], FloatingPointError)
+            assert str(got[k]) == str(alone.value)
+            assert str(got[k]) == f"non-finite loss at epoch 1, batch {batch}"
+        train_set, val_set, cfg, kwargs = trials[1]
+        assert_same_result(got[1], trainer.train(train_set, val_set, cfg, **kwargs))
+
+    def test_singular_fixed_matrix_fails_every_trial_at_once(self, monkeypatch):
+        # The warm-up's frozen matrix reads as singular: it is every trial's
+        # transition, so one pass fails them all and none trains again.
+        trials = [lockstep_setup("warmup-then-sparsemax", 3, s) for s in (8, 9)]
+        real_logdet, real_train, sizes = linalg.signed_logdet, trainer.train, []
+
+        def singular_matrix(a):
+            sign, logabs = real_logdet(a)
+            return (0.0, -np.inf) if np.ndim(a) == 2 else (sign, logabs)
+
+        def counted(train_set, *args, **kwargs):
+            sizes.append(len(train_set))
+            return real_train(train_set, *args, **kwargs)
+
+        monkeypatch.setattr(linalg, "signed_logdet", singular_matrix)
+        monkeypatch.setattr(trainer, "train", counted)
+        got = train_stack(trials)
+        assert sizes == [2]
+        for res in got:
+            assert isinstance(res, linalg.SingularMatrixError)
+            assert str(res) == "realized transition is numerically singular"
+            assert res.trials.tolist() == [0, 1]
